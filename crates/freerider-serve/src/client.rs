@@ -87,11 +87,12 @@ pub struct Client<S: Read + Write> {
 }
 
 impl Client<TcpStream> {
-    /// Connects over TCP.
+    /// Connects over TCP, with `TCP_NODELAY` set: each request is one
+    /// whole frame, so Nagle's algorithm could only delay it.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client<TcpStream>> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 }
 

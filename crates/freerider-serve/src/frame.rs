@@ -268,17 +268,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (header + payload) and flushes.
+/// Writes one frame (header + payload) in a single `write_all`, then
+/// flushes. Header and payload share one buffer so a TCP socket never
+/// sends the header alone and holds the payload back for the peer's
+/// delayed ACK (DESIGN.md §8, "Transport").
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
     if frame.payload.len() as u64 > MAX_PAYLOAD as u64 {
         return Err(FrameError::TooLarge(frame.payload.len() as u32));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = VERSION;
-    header[1] = frame.kind as u8;
-    header[2..6].copy_from_slice(&(frame.payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
+    let mut buf = Vec::with_capacity(HEADER_LEN + frame.payload.len());
+    buf.push(VERSION);
+    buf.push(frame.kind as u8);
+    buf.extend_from_slice(&(frame.payload.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&frame.payload);
+    w.write_all(&buf)?;
     w.flush()?;
     freerider_telemetry::count("serve.frames.tx");
     Ok(())
@@ -339,6 +342,38 @@ mod tests {
             assert_eq!(&read_frame(&mut cur).unwrap(), f);
         }
         assert!(matches!(read_frame(&mut cur), Err(FrameError::Closed)));
+    }
+
+    /// A sink that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        // 25_700 B is the size of a 200-tag snapshot payload.
+        for len in [0usize, 6, 25_700] {
+            let frame = Frame::new(FrameType::TagSnapshot, vec![b'x'; len]);
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &frame).unwrap();
+            assert_eq!(w.writes, 1, "{len} B payload");
+            assert_eq!(w.bytes.len(), HEADER_LEN + len);
+            assert_eq!(read_frame(&mut Cursor::new(w.bytes)).unwrap(), frame);
+        }
     }
 
     #[test]

@@ -150,7 +150,12 @@ impl Job {
     }
 
     fn finish(&self, state: JobState, terminal: Vec<Frame>) {
-        lock(&self.meta).state = state;
+        // Hold `meta` until the terminal frames are queued: a status
+        // reader that sees the final state must find them in every
+        // queue. No other path holds one of these locks while taking
+        // the other, so the meta-then-subs order cannot deadlock.
+        let mut meta = lock(&self.meta);
+        meta.state = state;
         let mut subs = lock(&self.subs);
         subs.finished = true;
         for f in &terminal {

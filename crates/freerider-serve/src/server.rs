@@ -366,6 +366,9 @@ impl Server {
                 }
             }
             freerider_telemetry::count("serve.sessions");
+            // Turn-based protocol, whole frames per write: Nagle would
+            // only hold a reply back for the client's delayed ACK.
+            let _ = socket.set_nodelay(true);
             let peer = socket.try_clone().ok();
             let mgr = Arc::clone(&self.mgr);
             let stop = Arc::clone(&self.stop);

@@ -391,3 +391,53 @@ fn shutdown_completes_with_an_idle_connection_open() {
     runner.join().expect("join").expect("server run");
     drop(idle);
 }
+
+#[test]
+fn tcp_round_trips_do_not_wait_for_delayed_acks() {
+    use freerider_serve::server::{ServeConfig, Server};
+    use std::time::{Duration, Instant};
+
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let runner = std::thread::spawn(move || server.run());
+
+    let mut small = Deployment::open_plan().with_receiver(4.0, 0.0);
+    for i in 0..30 {
+        small = small.with_tag((i % 6) as f64 * 0.8 - 2.0, (i / 6) as f64 * 0.8 - 1.6);
+    }
+    let job = JobSpec {
+        config: SimConfig {
+            rounds: 10,
+            seed: 7,
+            ..SimConfig::default()
+        },
+        deployment: small,
+        stream: true,
+        snapshot_every: 5,
+    };
+
+    let mut client = Client::<std::net::TcpStream>::connect(addr).expect("connect");
+    let t0 = Instant::now();
+    // A frame held back by Nagle's algorithm until the peer's delayed
+    // ACK costs each of these 51 exchanges ~40 ms, about 2 s in all;
+    // without it they take milliseconds.
+    for _ in 0..50 {
+        assert!(client.health().expect("health").ok);
+    }
+    client.submit(&job).expect("submit");
+    let events = client.drain_stream().expect("stream");
+    let elapsed = t0.elapsed();
+    assert_eq!(extract_result(events), direct_bytes(&job));
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 health probes + one 30-tag streaming job took {elapsed:?} over TCP"
+    );
+
+    client.shutdown().expect("shutdown");
+    runner.join().expect("join").expect("server run");
+}

@@ -62,6 +62,7 @@ impl JsonValue {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -132,6 +133,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -253,6 +255,15 @@ impl<'a> Parser<'a> {
         self.consume(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte in one go. All three are ASCII, so the run ends on a
+            // char boundary of the `&str` input.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -305,19 +316,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control byte in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let start = self.pos;
-                    let len = utf8_len(self.bytes[start]);
-                    let end = (start + len).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid utf-8")),
-                    }
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control byte in string")),
             }
         }
     }
@@ -360,20 +359,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
