@@ -25,7 +25,7 @@
 //! only within one host. The committed baseline documents the reference
 //! machine and lets CI catch order-of-magnitude regressions.
 
-use freerider_bench::micro::{bench, Summary};
+use freerider_bench::micro::{bench, interleaved, Summary};
 use freerider_coding::convolutional::{
     encode, viterbi_decode_soft_scratch, viterbi_decode_soft_scratch_lanes,
     viterbi_decode_soft_scratch_scalar, CodeRate, ViterbiScratch, DEFAULT_VITERBI_LANES,
@@ -42,6 +42,11 @@ use freerider_telemetry::JsonWriter;
 use freerider_wifi::{Receiver, RxConfig, Transmitter, TxConfig};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// The tree-based wire decoders, kept as the test oracle of the
+/// reader-based ones; compiled in here for the `wire/*_tree` A/B rows.
+#[path = "../../../../tests/wire_oracle/mod.rs"]
+mod wire_oracle;
 
 fn git_short_sha() -> String {
     std::process::Command::new("git")
@@ -163,16 +168,88 @@ fn serve_fanout(
     (bench(label, budget, max_iters, run), frames_per_run)
 }
 
+/// The served-codec rows: a 200-tag `TagSnapshot` and a `Progress`
+/// payload from a real simulation, encoded and decoded through `wire`.
+/// Each decode row has a `_tree` twin, the same payload through the
+/// tree-based oracle decoder, timed interleaved with it as an A/B pair
+/// in this binary.
+fn wire_rows(budget: Duration, max_iters: u32, kernels: &mut Vec<KernelResult>) {
+    use freerider_net::{Deployment, DeploymentSim, LinkModel, RoundProgress, SimConfig};
+    use freerider_serve::wire;
+
+    // perfbench's study layout: a 0.8 m-pitch grid centred on the
+    // exciter, one receiver at (4, 0).
+    let mut d = Deployment::open_plan().with_receiver(4.0, 0.0);
+    for i in 0..200 {
+        d = d.with_tag((i % 15) as f64 * 0.8 - 5.6, (i / 15) as f64 * 0.8 - 5.2);
+    }
+    let config = SimConfig {
+        rounds: 40,
+        seed: 1,
+        ..SimConfig::default()
+    };
+    let tags = DeploymentSim::new(d, LinkModel::default(), config)
+        .run()
+        .tags;
+    let snapshot = wire::encode_tags(39, &tags);
+    let progress = wire::encode_progress(&RoundProgress {
+        round: 39,
+        rounds: 400,
+        time_s: 0.2925,
+        n_slots: 128,
+        participants: 187,
+        delivered_slots: 61,
+        delivered_bits: 1_163_400,
+        reports_delivered: 8_544,
+    });
+    let bytes = snapshot.len() as u64;
+    kernels.push(KernelResult {
+        name: "wire/encode_tags_200",
+        summary: bench("wire/encode_tags_200", budget, max_iters, || {
+            wire::encode_tags(39, &tags)
+        }),
+        bytes,
+    });
+    let names = ["wire/decode_tags_200", "wire/decode_tags_200_tree"];
+    let (reader, tree) = interleaved(
+        names,
+        budget,
+        max_iters,
+        || wire::decode_tags(&snapshot).map(|(_, t)| t.len()),
+        || wire_oracle::decode_tags(&snapshot).map(|(_, t)| t.len()),
+    );
+    for (name, summary) in names.into_iter().zip([reader, tree]) {
+        kernels.push(KernelResult {
+            name,
+            summary,
+            bytes,
+        });
+    }
+    let bytes = progress.len() as u64;
+    let names = ["wire/decode_progress", "wire/decode_progress_tree"];
+    let (reader, tree) = interleaved(
+        names,
+        budget,
+        max_iters,
+        || wire::decode_progress(&progress).map(|p| p.round),
+        || wire_oracle::decode_progress(&progress).map(|p| p.round),
+    );
+    for (name, summary) in names.into_iter().zip([reader, tree]) {
+        kernels.push(KernelResult {
+            name,
+            summary,
+            bytes,
+        });
+    }
+}
+
 /// The serve-path metrics-hook A/A pair: two identical fan-out-1
-/// kernels whose samples are *interleaved*, so both medians see the
-/// same machine noise. Two back-to-back batched runs can diverge
-/// wildly when a contention window lands inside one batch;
-/// interleaving makes the A/B delta a genuine bound on the
-/// (unremovable) registry hook cost plus per-sample jitter.
+/// kernels whose samples are *interleaved* ([`interleaved`]), which
+/// makes the A/B delta a genuine bound on the (unremovable) registry
+/// hook cost plus per-sample jitter.
 fn serve_stats_aa(budget: Duration, max_iters: u32) -> (Summary, Summary) {
     use freerider_net::{Deployment, SimConfig};
     use freerider_serve::{Client, JobSpec, Loopback, ServeConfig};
-    use std::hint::black_box;
 
     let server = Loopback::new(&ServeConfig {
         threads: 1,
@@ -197,27 +274,13 @@ fn serve_stats_aa(budget: Duration, max_iters: u32) -> (Summary, Summary) {
         submitter.submit(&spec).unwrap();
         submitter.drain_stream().unwrap().len() as u64
     };
-    black_box(run()); // warm-up
-    let mut a: Vec<Duration> = Vec::new();
-    let mut b: Vec<Duration> = Vec::new();
-    let start = Instant::now();
-    while a.len() < 3 || (start.elapsed() < budget * 2 && (a.len() as u32) < max_iters) {
-        let t0 = Instant::now();
-        black_box(run());
-        a.push(t0.elapsed());
-        let t0 = Instant::now();
-        black_box(run());
-        b.push(t0.elapsed());
-    }
-    let summarize = |mut v: Vec<Duration>| {
-        v.sort_unstable();
-        Summary {
-            iters: v.len() as u32,
-            median: v[v.len() / 2],
-            mean: v.iter().sum::<Duration>() / v.len() as u32,
-        }
-    };
-    (summarize(a), summarize(b))
+    interleaved(
+        ["serve/stats_overhead_a", "serve/stats_overhead_b"],
+        budget,
+        max_iters,
+        run,
+        run,
+    )
 }
 
 fn main() -> ExitCode {
@@ -507,6 +570,8 @@ fn main() -> ExitCode {
             bytes: 0,
         });
     }
+
+    wire_rows(budget, max_iters, &mut kernels);
 
     // Flight-recorder overhead triad on the WiFi RX path. The A/A repeat
     // with tracing off bounds the disabled-path hook cost together with

@@ -43,22 +43,53 @@ pub fn bench<T>(
         black_box(f());
         samples.push(t0.elapsed());
     }
+    summarize(label, samples)
+}
+
+/// Times `a` and `b` like [`bench()`], but with their samples interleaved
+/// so both medians see the same machine noise: two back-to-back batched
+/// runs can diverge wildly when a contention window lands inside one
+/// batch, which makes an A/B ratio of separate [`bench()`] runs unreliable
+/// on a shared host. Spends up to twice `budget`.
+pub fn interleaved<A, B>(
+    labels: [&str; 2],
+    budget: Duration,
+    max_iters: u32,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Summary, Summary) {
+    black_box(a());
+    black_box(b());
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    let start = Instant::now();
+    while ta.len() < 3 || (start.elapsed() < budget * 2 && (ta.len() as u32) < max_iters) {
+        let t0 = Instant::now();
+        black_box(a());
+        ta.push(t0.elapsed());
+        let t0 = Instant::now();
+        black_box(b());
+        tb.push(t0.elapsed());
+    }
+    (summarize(labels[0], ta), summarize(labels[1], tb))
+}
+
+/// Prints and returns the median / mean of `samples`.
+fn summarize(label: &str, mut samples: Vec<Duration>) -> Summary {
     samples.sort_unstable();
     let iters = samples.len() as u32;
     let median = samples[samples.len() / 2];
     let mean = samples.iter().sum::<Duration>() / iters;
-    let s = Summary {
-        iters,
-        median,
-        mean,
-    };
     println!(
         "{label:<44} {:>12} median {:>12} mean   ({} iters)",
         format_duration(median),
         format_duration(mean),
         iters
     );
-    s
+    Summary {
+        iters,
+        median,
+        mean,
+    }
 }
 
 /// Formats a duration with an SI-appropriate unit.
@@ -84,6 +115,13 @@ mod tests {
         let s = bench("noop", Duration::from_millis(5), 50, || 1 + 1);
         assert!(s.iters >= 3);
         assert!(s.median <= s.mean * 10);
+    }
+
+    #[test]
+    fn interleaved_times_both_sides_alike() {
+        let (a, b) = interleaved(["a", "b"], Duration::from_millis(5), 50, || 1, || 2);
+        assert!(a.iters >= 3);
+        assert_eq!(a.iters, b.iters);
     }
 
     #[test]

@@ -3,8 +3,20 @@
 //! Encoding uses [`freerider_telemetry::JsonWriter`] (compact, shortest
 //! round-trip floats, fully deterministic — equal inputs give byte-equal
 //! payloads, which is what lets integration tests assert a served result
-//! is *byte-identical* to an in-process run). Decoding uses
-//! [`freerider_telemetry::JsonValue`], the writer's parser twin.
+//! is *byte-identical* to an in-process run).
+//!
+//! Decoding uses [`JsonReader`], the writer's pull-parser twin, and never
+//! builds a [`freerider_telemetry::JsonValue`] tree. Each `decode_*` reads
+//! its payload once, left to right, keeping the first occurrence of each
+//! member it wants (what `JsonValue::get` would find) and validating and
+//! skipping everything else. Its check failures are reported only after
+//! the whole document has been read, first failure in the tree decoders'
+//! order, so a syntax error anywhere wins over any semantic one. The
+//! contract: each decoder returns exactly the `Result` — value or error
+//! message — that parsing the payload into a `JsonValue` tree and
+//! checking the tree returns. Those tree-based decoders are kept as the
+//! oracle in `tests/wire_oracle/`; `tests/wire_fuzz.rs` pins the contract
+//! on a seeded mutation corpus.
 //!
 //! `TagReport::mean_latency_s` is an `Option`: a tag that never delivered
 //! a report encodes as `null`, never NaN — NaN is not representable in
@@ -15,7 +27,9 @@ use freerider_channel::geometry::{Point, Site, Wall};
 use freerider_channel::PathLoss;
 use freerider_net::deployment::{Exciter, ReceiverNode, TagNode};
 use freerider_net::{Deployment, DeploymentReport, RoundProgress, SimConfig, TagReport};
-use freerider_telemetry::{JsonValue, JsonWriter};
+use freerider_telemetry::jsonv::{JsonError, JsonReader, Scalar};
+use freerider_telemetry::JsonWriter;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A decode failure: message plus context.
@@ -70,43 +84,186 @@ pub struct StatusInfo {
 // ---------------------------------------------------------------------
 // Helpers.
 
-fn parse_payload(payload: &[u8]) -> Result<JsonValue, WireError> {
+impl From<JsonError> for WireError {
+    fn from(e: JsonError) -> Self {
+        WireError::new(e.to_string())
+    }
+}
+
+/// A check's outcome, held until the whole document has been read:
+/// syntax errors anywhere come first, as with a tree parse.
+type Checked<T> = Result<T, WireError>;
+
+/// The first occurrence of a wanted member (`None` when absent).
+type Slot<'a> = Option<Scalar<'a>>;
+
+fn reader(payload: &[u8]) -> Result<JsonReader<'_>, WireError> {
     let text =
         std::str::from_utf8(payload).map_err(|_| WireError::new("payload is not valid UTF-8"))?;
-    JsonValue::parse(text).map_err(|e| WireError::new(e.to_string()))
+    Ok(JsonReader::new(text))
 }
 
-fn need<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, WireError> {
-    v.get(key)
-        .ok_or_else(|| WireError::new(format!("missing member `{key}`")))
+/// Walks one object, handing each member to `member`, which reads the
+/// value and returns `true`, or returns `false` to have it skipped. A
+/// value that is not an object is skipped whole: no member is found in
+/// it, as `JsonValue::get` finds none.
+fn each_member<'a>(
+    r: &mut JsonReader<'a>,
+    mut member: impl FnMut(&str, &mut JsonReader<'a>) -> Result<bool, JsonError>,
+) -> Result<(), JsonError> {
+    if !r.begin_object()? {
+        r.scalar()?;
+        return Ok(());
+    }
+    while let Some(key) = r.next_key()? {
+        if !member(&key, r)? {
+            r.scalar()?;
+        }
+    }
+    Ok(())
 }
 
-fn need_f64(v: &JsonValue, key: &str) -> Result<f64, WireError> {
+/// Reads one object into one slot per key in `keys`: the first
+/// occurrence of each, read as a [`Scalar`].
+fn read_fields<'a, const N: usize>(
+    r: &mut JsonReader<'a>,
+    keys: &[&str; N],
+) -> Result<[Slot<'a>; N], JsonError> {
+    let mut slots = std::array::from_fn(|_| None);
+    each_member(r, |key, r| {
+        Ok(match keys.iter().position(|&k| k == key) {
+            Some(i) if slots[i].is_none() => {
+                slots[i] = Some(r.scalar()?);
+                true
+            }
+            _ => false,
+        })
+    })?;
+    Ok(slots)
+}
+
+/// A container member as read: absent, of the wrong JSON type, or its
+/// checked contents.
+enum Member<T> {
+    Missing,
+    Mistyped,
+    Read(Checked<T>),
+}
+
+impl<T> Member<T> {
+    fn is_missing(&self) -> bool {
+        matches!(self, Member::Missing)
+    }
+
+    /// The member's contents; `kind` names the JSON type it must have
+    /// (`"an array"`, `"an object"`).
+    fn need(self, key: &str, kind: &str) -> Checked<T> {
+        match self {
+            Member::Missing => Err(missing(key)),
+            Member::Mistyped => Err(WireError::new(format!("`{key}` must be {kind}"))),
+            Member::Read(contents) => contents,
+        }
+    }
+}
+
+/// Checks the next value into `acc`. After the first value that fails
+/// its checks the rest are only validated, as
+/// `collect::<Result<Vec<_>, _>>` stops there.
+fn check_next<'a, T>(
+    acc: &mut Checked<Vec<T>>,
+    r: &mut JsonReader<'a>,
+    check: impl FnOnce(&mut JsonReader<'a>) -> Result<Checked<T>, JsonError>,
+) -> Result<(), JsonError> {
+    match acc {
+        Ok(list) => match check(r)? {
+            Ok(v) => list.push(v),
+            Err(e) => *acc = Err(e),
+        },
+        Err(_) => {
+            r.scalar()?;
+        }
+    }
+    Ok(())
+}
+
+/// Reads an array, checking each item with `item`.
+fn read_list<'a, T>(
+    r: &mut JsonReader<'a>,
+    mut item: impl FnMut(&mut JsonReader<'a>) -> Result<Checked<T>, JsonError>,
+) -> Result<Member<Vec<T>>, JsonError> {
+    if !r.begin_array()? {
+        r.scalar()?;
+        return Ok(Member::Mistyped);
+    }
+    let mut items = Ok(Vec::new());
+    while r.next_item()? {
+        check_next(&mut items, r, &mut item)?;
+    }
+    Ok(Member::Read(items))
+}
+
+/// Reads an object as a map: every member in order, duplicates
+/// included, each checked with `entry`.
+fn read_map<'a, T>(
+    r: &mut JsonReader<'a>,
+    mut entry: impl FnMut(Cow<'a, str>, &mut JsonReader<'a>) -> Result<Checked<T>, JsonError>,
+) -> Result<Member<Vec<T>>, JsonError> {
+    if !r.begin_object()? {
+        r.scalar()?;
+        return Ok(Member::Mistyped);
+    }
+    let mut entries = Ok(Vec::new());
+    while let Some(key) = r.next_key()? {
+        check_next(&mut entries, r, |r| entry(key, r))?;
+    }
+    Ok(Member::Read(entries))
+}
+
+/// Reads a whole payload that is one object of scalar members.
+fn read_payload<'a, const N: usize>(
+    payload: &'a [u8],
+    keys: &[&str; N],
+) -> Result<[Slot<'a>; N], WireError> {
+    let mut r = reader(payload)?;
+    let fields = read_fields(&mut r, keys)?;
+    r.finish()?;
+    Ok(fields)
+}
+
+fn missing(key: &str) -> WireError {
+    WireError::new(format!("missing member `{key}`"))
+}
+
+fn need<'s, 'a>(v: &'s Slot<'a>, key: &str) -> Result<&'s Scalar<'a>, WireError> {
+    v.as_ref().ok_or_else(|| missing(key))
+}
+
+fn need_f64(v: &Slot, key: &str) -> Result<f64, WireError> {
     need(v, key)?
         .as_f64()
         .ok_or_else(|| WireError::new(format!("`{key}` must be a number")))
 }
 
-fn need_u64(v: &JsonValue, key: &str) -> Result<u64, WireError> {
+fn need_u64(v: &Slot, key: &str) -> Result<u64, WireError> {
     need(v, key)?
         .as_u64()
         .ok_or_else(|| WireError::new(format!("`{key}` must be a non-negative integer")))
 }
 
-fn need_usize(v: &JsonValue, key: &str) -> Result<usize, WireError> {
+fn need_usize(v: &Slot, key: &str) -> Result<usize, WireError> {
     Ok(need_u64(v, key)? as usize)
 }
 
-fn need_bool(v: &JsonValue, key: &str) -> Result<bool, WireError> {
+fn need_bool(v: &Slot, key: &str) -> Result<bool, WireError> {
     need(v, key)?
         .as_bool()
         .ok_or_else(|| WireError::new(format!("`{key}` must be a boolean")))
 }
 
-fn need_array<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], WireError> {
+fn need_str<'s>(v: &'s Slot, key: &str) -> Result<&'s str, WireError> {
     need(v, key)?
-        .as_array()
-        .ok_or_else(|| WireError::new(format!("`{key}` must be an array")))
+        .as_str()
+        .ok_or_else(|| WireError::new(format!("`{key}` must be a string")))
 }
 
 fn finite(name: &str, x: f64) -> Result<f64, WireError> {
@@ -185,17 +342,54 @@ pub fn encode_submit(spec: &JobSpec) -> Vec<u8> {
 
 /// Decodes a `SubmitJob` payload, validating ranges.
 pub fn decode_submit(payload: &[u8]) -> Result<JobSpec, WireError> {
-    let v = parse_payload(payload)?;
-    let c = need(&v, "config")?;
+    let mut r = reader(payload)?;
+    let (mut config, mut deployment) = (None, None);
+    let (mut stream, mut snapshot_every) = (None, None);
+    each_member(&mut r, |key, r| {
+        match key {
+            "config" if config.is_none() => config = Some(check_config(read_fields(r, &CONFIG)?)),
+            "deployment" if deployment.is_none() => deployment = Some(read_deployment(r)?),
+            "stream" if stream.is_none() => stream = Some(r.scalar()?),
+            "snapshot_every" if snapshot_every.is_none() => snapshot_every = Some(r.scalar()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    r.finish()?;
+    Ok(JobSpec {
+        config: config.ok_or_else(|| missing("config"))??,
+        deployment: deployment.ok_or_else(|| missing("deployment"))??,
+        stream: need_bool(&stream, "stream")?,
+        snapshot_every: need_usize(&snapshot_every, "snapshot_every")?,
+    })
+}
+
+const CONFIG: [&str; 8] = [
+    "rounds",
+    "slot_s",
+    "bits_per_slot",
+    "report_interval_s",
+    "report_bits",
+    "plm_bps",
+    "capture_prob",
+    "seed",
+];
+
+fn check_config(
+    [rounds, slot_s, bits_per_slot, report_interval_s, report_bits, plm_bps, capture_prob, seed]: [Slot; 8],
+) -> Checked<SimConfig> {
     let config = SimConfig {
-        rounds: need_usize(c, "rounds")?,
-        slot_s: finite("slot_s", need_f64(c, "slot_s")?)?,
-        bits_per_slot: need_usize(c, "bits_per_slot")?,
-        report_interval_s: finite("report_interval_s", need_f64(c, "report_interval_s")?)?,
-        report_bits: need_usize(c, "report_bits")?,
-        plm_bps: finite("plm_bps", need_f64(c, "plm_bps")?)?,
-        capture_prob: finite("capture_prob", need_f64(c, "capture_prob")?)?,
-        seed: need_u64(c, "seed")?,
+        rounds: need_usize(&rounds, "rounds")?,
+        slot_s: finite("slot_s", need_f64(&slot_s, "slot_s")?)?,
+        bits_per_slot: need_usize(&bits_per_slot, "bits_per_slot")?,
+        report_interval_s: finite(
+            "report_interval_s",
+            need_f64(&report_interval_s, "report_interval_s")?,
+        )?,
+        report_bits: need_usize(&report_bits, "report_bits")?,
+        plm_bps: finite("plm_bps", need_f64(&plm_bps, "plm_bps")?)?,
+        capture_prob: finite("capture_prob", need_f64(&capture_prob, "capture_prob")?)?,
+        seed: need_u64(&seed, "seed")?,
     };
     if config.rounds == 0 {
         return Err(WireError::new("`rounds` must be positive"));
@@ -209,57 +403,125 @@ pub fn decode_submit(payload: &[u8]) -> Result<JobSpec, WireError> {
     if !(0.0..=1.0).contains(&config.capture_prob) {
         return Err(WireError::new("`capture_prob` must be in [0, 1]"));
     }
+    Ok(config)
+}
 
-    let d = need(&v, "deployment")?;
-    let pl = need(d, "path_loss")?;
-    let pl0_db = finite("pl0_db", need_f64(pl, "pl0_db")?)?;
-    let exponent = finite("exponent", need_f64(pl, "exponent")?)?;
-    if pl0_db < 0.0 || exponent <= 0.0 {
-        return Err(WireError::new("path loss must have pl0 ≥ 0, exponent > 0"));
-    }
-    let mut site = Site::open(PathLoss { pl0_db, exponent });
-    for wall in need_array(d, "walls")? {
-        site = site.with_wall(Wall::new(
-            Point::new(need_f64(wall, "ax")?, need_f64(wall, "ay")?),
-            Point::new(need_f64(wall, "bx")?, need_f64(wall, "by")?),
-            need_f64(wall, "loss_db")?,
-        ));
-    }
-    let ex = need(d, "exciter")?;
-    let exciter = Exciter {
-        position: Point::new(need_f64(ex, "x")?, need_f64(ex, "y")?),
-        tx_power_dbm: need_f64(ex, "tx_power_dbm")?,
+/// The members of a `deployment` object, as read.
+struct DeploymentParts<'a> {
+    path_loss: Option<[Slot<'a>; 2]>,
+    walls: Member<Vec<Wall>>,
+    exciter: Option<[Slot<'a>; 3]>,
+    receivers: Member<Vec<(Point, f64)>>,
+    tags: Member<Vec<(Point, f64)>>,
+    backscatter_loss_db: Slot<'a>,
+}
+
+fn read_deployment(r: &mut JsonReader) -> Result<Checked<Deployment>, JsonError> {
+    let mut d = DeploymentParts {
+        path_loss: None,
+        walls: Member::Missing,
+        exciter: None,
+        receivers: Member::Missing,
+        tags: Member::Missing,
+        backscatter_loss_db: None,
     };
-    let mut receivers = Vec::new();
-    for r in need_array(d, "receivers")? {
-        receivers.push(ReceiverNode {
-            position: Point::new(need_f64(r, "x")?, need_f64(r, "y")?),
-            sensitivity_dbm: need_f64(r, "sensitivity_dbm")?,
-        });
+    each_member(r, |key, r| {
+        match key {
+            "path_loss" if d.path_loss.is_none() => {
+                d.path_loss = Some(read_fields(r, &["pl0_db", "exponent"])?)
+            }
+            "walls" if d.walls.is_missing() => d.walls = read_list(r, read_wall)?,
+            "exciter" if d.exciter.is_none() => {
+                d.exciter = Some(read_fields(r, &["x", "y", "tx_power_dbm"])?)
+            }
+            "receivers" if d.receivers.is_missing() => d.receivers = read_list(r, read_node)?,
+            "tags" if d.tags.is_missing() => d.tags = read_list(r, read_node)?,
+            "backscatter_loss_db" if d.backscatter_loss_db.is_none() => {
+                d.backscatter_loss_db = Some(r.scalar()?)
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(d.check())
+}
+
+impl DeploymentParts<'_> {
+    fn check(self) -> Checked<Deployment> {
+        let [pl0_db, exponent] = self.path_loss.ok_or_else(|| missing("path_loss"))?;
+        let pl0_db = finite("pl0_db", need_f64(&pl0_db, "pl0_db")?)?;
+        let exponent = finite("exponent", need_f64(&exponent, "exponent")?)?;
+        if pl0_db < 0.0 || exponent <= 0.0 {
+            return Err(WireError::new("path loss must have pl0 ≥ 0, exponent > 0"));
+        }
+        let mut site = Site::open(PathLoss { pl0_db, exponent });
+        for wall in self.walls.need("walls", "an array")? {
+            site = site.with_wall(wall);
+        }
+        let [x, y, tx_power_dbm] = self.exciter.ok_or_else(|| missing("exciter"))?;
+        let exciter = Exciter {
+            position: Point::new(need_f64(&x, "x")?, need_f64(&y, "y")?),
+            tx_power_dbm: need_f64(&tx_power_dbm, "tx_power_dbm")?,
+        };
+        let receivers = self
+            .receivers
+            .need("receivers", "an array")?
+            .into_iter()
+            .map(|(position, sensitivity_dbm)| ReceiverNode {
+                position,
+                sensitivity_dbm,
+            })
+            .collect();
+        let tags: Vec<TagNode> = self
+            .tags
+            .need("tags", "an array")?
+            .into_iter()
+            .map(|(position, sensitivity_dbm)| TagNode {
+                position,
+                sensitivity_dbm,
+            })
+            .collect();
+        if tags.is_empty() {
+            return Err(WireError::new("deployment has no tags"));
+        }
+        Ok(Deployment {
+            site,
+            exciter,
+            receivers,
+            tags,
+            backscatter_loss_db: finite(
+                "backscatter_loss_db",
+                need_f64(&self.backscatter_loss_db, "backscatter_loss_db")?,
+            )?,
+        })
     }
-    let mut tags = Vec::new();
-    for t in need_array(d, "tags")? {
-        tags.push(TagNode {
-            position: Point::new(need_f64(t, "x")?, need_f64(t, "y")?),
-            sensitivity_dbm: need_f64(t, "sensitivity_dbm")?,
-        });
-    }
-    if tags.is_empty() {
-        return Err(WireError::new("deployment has no tags"));
-    }
-    let deployment = Deployment {
-        site,
-        exciter,
-        receivers,
-        tags,
-        backscatter_loss_db: finite("backscatter_loss_db", need_f64(d, "backscatter_loss_db")?)?,
-    };
-    Ok(JobSpec {
-        config,
-        deployment,
-        stream: need_bool(&v, "stream")?,
-        snapshot_every: need_usize(&v, "snapshot_every")?,
-    })
+}
+
+fn read_wall(r: &mut JsonReader) -> Result<Checked<Wall>, JsonError> {
+    Ok(check_wall(read_fields(
+        r,
+        &["ax", "ay", "bx", "by", "loss_db"],
+    )?))
+}
+
+fn check_wall([ax, ay, bx, by, loss_db]: [Slot; 5]) -> Checked<Wall> {
+    Ok(Wall::new(
+        Point::new(need_f64(&ax, "ax")?, need_f64(&ay, "ay")?),
+        Point::new(need_f64(&bx, "bx")?, need_f64(&by, "by")?),
+        need_f64(&loss_db, "loss_db")?,
+    ))
+}
+
+/// A receiver or tag: its position and sensitivity.
+fn read_node(r: &mut JsonReader) -> Result<Checked<(Point, f64)>, JsonError> {
+    Ok(check_node(read_fields(r, &["x", "y", "sensitivity_dbm"])?))
+}
+
+fn check_node([x, y, sensitivity_dbm]: [Slot; 3]) -> Checked<(Point, f64)> {
+    Ok((
+        Point::new(need_f64(&x, "x")?, need_f64(&y, "y")?),
+        need_f64(&sensitivity_dbm, "sensitivity_dbm")?,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -277,7 +539,8 @@ pub fn encode_job_id(id: u64) -> Vec<u8> {
 
 /// Decodes `{"job": id}`.
 pub fn decode_job_id(payload: &[u8]) -> Result<u64, WireError> {
-    need_u64(&parse_payload(payload)?, "job")
+    let [job] = read_payload(payload, &["job"])?;
+    need_u64(&job, "job")
 }
 
 /// Encodes `{"job": id, "cancelled": bool}`.
@@ -292,8 +555,8 @@ pub fn encode_cancelled(id: u64, cancelled: bool) -> Vec<u8> {
 
 /// Decodes the `Cancelled` payload into `(job, cancelled)`.
 pub fn decode_cancelled(payload: &[u8]) -> Result<(u64, bool), WireError> {
-    let v = parse_payload(payload)?;
-    Ok((need_u64(&v, "job")?, need_bool(&v, "cancelled")?))
+    let [job, cancelled] = read_payload(payload, &["job", "cancelled"])?;
+    Ok((need_u64(&job, "job")?, need_bool(&cancelled, "cancelled")?))
 }
 
 /// Encodes an `Error` payload.
@@ -307,11 +570,8 @@ pub fn encode_error(msg: &str) -> Vec<u8> {
 
 /// Decodes an `Error` payload.
 pub fn decode_error(payload: &[u8]) -> Result<String, WireError> {
-    let v = parse_payload(payload)?;
-    need(&v, "error")?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| WireError::new("`error` must be a string"))
+    let [error] = read_payload(payload, &["error"])?;
+    need_str(&error, "error").map(str::to_string)
 }
 
 fn write_status(w: &mut JsonWriter, s: &StatusInfo) {
@@ -324,16 +584,15 @@ fn write_status(w: &mut JsonWriter, s: &StatusInfo) {
     w.end_object();
 }
 
-fn read_status(v: &JsonValue) -> Result<StatusInfo, WireError> {
+const STATUS: [&str; 5] = ["job", "state", "rounds_done", "rounds", "tags"];
+
+fn check_status([job, state, rounds_done, rounds, tags]: [Slot; 5]) -> Checked<StatusInfo> {
     Ok(StatusInfo {
-        job: need_u64(v, "job")?,
-        state: need(v, "state")?
-            .as_str()
-            .ok_or_else(|| WireError::new("`state` must be a string"))?
-            .to_string(),
-        rounds_done: need_u64(v, "rounds_done")?,
-        rounds: need_u64(v, "rounds")?,
-        tags: need_u64(v, "tags")?,
+        job: need_u64(&job, "job")?,
+        state: need_str(&state, "state")?.to_string(),
+        rounds_done: need_u64(&rounds_done, "rounds_done")?,
+        rounds: need_u64(&rounds, "rounds")?,
+        tags: need_u64(&tags, "tags")?,
     })
 }
 
@@ -346,7 +605,7 @@ pub fn encode_status(s: &StatusInfo) -> Vec<u8> {
 
 /// Decodes one `Status` payload.
 pub fn decode_status(payload: &[u8]) -> Result<StatusInfo, WireError> {
-    read_status(&parse_payload(payload)?)
+    check_status(read_payload(payload, &STATUS)?)
 }
 
 /// Encodes the `Jobs` payload (all jobs, ascending id).
@@ -364,8 +623,17 @@ pub fn encode_jobs(jobs: &[StatusInfo]) -> Vec<u8> {
 
 /// Decodes the `Jobs` payload.
 pub fn decode_jobs(payload: &[u8]) -> Result<Vec<StatusInfo>, WireError> {
-    let v = parse_payload(payload)?;
-    need_array(&v, "jobs")?.iter().map(read_status).collect()
+    let mut r = reader(payload)?;
+    let mut jobs = Member::Missing;
+    each_member(&mut r, |key, r| {
+        if key != "jobs" || !jobs.is_missing() {
+            return Ok(false);
+        }
+        jobs = read_list(r, |r| Ok(check_status(read_fields(r, &STATUS)?)))?;
+        Ok(true)
+    })?;
+    r.finish()?;
+    jobs.need("jobs", "an array")
 }
 
 // ---------------------------------------------------------------------
@@ -389,17 +657,30 @@ pub fn encode_progress(p: &RoundProgress) -> Vec<u8> {
 
 /// Decodes a `Progress` payload.
 pub fn decode_progress(payload: &[u8]) -> Result<RoundProgress, WireError> {
-    let v = parse_payload(payload)?;
+    let [round, rounds, time_s, n_slots, participants, delivered_slots, delivered_bits, reports_delivered] =
+        read_payload(
+            payload,
+            &[
+                "round",
+                "rounds",
+                "time_s",
+                "n_slots",
+                "participants",
+                "delivered_slots",
+                "delivered_bits",
+                "reports_delivered",
+            ],
+        )?;
     Ok(RoundProgress {
-        round: need_usize(&v, "round")?,
-        rounds: need_usize(&v, "rounds")?,
-        time_s: need_f64(&v, "time_s")?,
-        n_slots: u16::try_from(need_u64(&v, "n_slots")?)
+        round: need_usize(&round, "round")?,
+        rounds: need_usize(&rounds, "rounds")?,
+        time_s: need_f64(&time_s, "time_s")?,
+        n_slots: u16::try_from(need_u64(&n_slots, "n_slots")?)
             .map_err(|_| WireError::new("`n_slots` out of range for u16"))?,
-        participants: need_usize(&v, "participants")?,
-        delivered_slots: need_usize(&v, "delivered_slots")?,
-        delivered_bits: need_u64(&v, "delivered_bits")?,
-        reports_delivered: need_u64(&v, "reports_delivered")?,
+        participants: need_usize(&participants, "participants")?,
+        delivered_slots: need_usize(&delivered_slots, "delivered_slots")?,
+        delivered_bits: need_u64(&delivered_bits, "delivered_bits")?,
+        reports_delivered: need_u64(&reports_delivered, "reports_delivered")?,
     })
 }
 
@@ -417,11 +698,26 @@ fn write_tag(w: &mut JsonWriter, t: &TagReport) {
     w.end_object();
 }
 
-fn read_tag(v: &JsonValue) -> Result<TagReport, WireError> {
-    let lat = need(v, "mean_latency_s")?;
+fn read_tag(r: &mut JsonReader) -> Result<Checked<TagReport>, JsonError> {
+    Ok(check_tag(read_fields(
+        r,
+        &[
+            "delivered_bits",
+            "reports_delivered",
+            "mean_latency_s",
+            "servable",
+            "plm_reach",
+        ],
+    )?))
+}
+
+fn check_tag(
+    [delivered_bits, reports_delivered, lat, servable, plm_reach]: [Slot; 5],
+) -> Checked<TagReport> {
+    let lat = need(&lat, "mean_latency_s")?;
     Ok(TagReport {
-        delivered_bits: need_u64(v, "delivered_bits")?,
-        reports_delivered: need_usize(v, "reports_delivered")?,
+        delivered_bits: need_u64(&delivered_bits, "delivered_bits")?,
+        reports_delivered: need_usize(&reports_delivered, "reports_delivered")?,
         mean_latency_s: if lat.is_null() {
             None
         } else {
@@ -430,8 +726,8 @@ fn read_tag(v: &JsonValue) -> Result<TagReport, WireError> {
                     .ok_or_else(|| WireError::new("`mean_latency_s` must be a number or null"))?,
             )
         },
-        servable: need_bool(v, "servable")?,
-        plm_reach: need_f64(v, "plm_reach")?,
+        servable: need_bool(&servable, "servable")?,
+        plm_reach: need_f64(&plm_reach, "plm_reach")?,
     })
 }
 
@@ -451,12 +747,19 @@ pub fn encode_tags(round: usize, tags: &[TagReport]) -> Vec<u8> {
 
 /// Decodes a `TagSnapshot` payload into `(round, tags)`.
 pub fn decode_tags(payload: &[u8]) -> Result<(usize, Vec<TagReport>), WireError> {
-    let v = parse_payload(payload)?;
-    let tags = need_array(&v, "tags")?
-        .iter()
-        .map(read_tag)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((need_usize(&v, "round")?, tags))
+    let mut r = reader(payload)?;
+    let (mut round, mut tags) = (None, Member::Missing);
+    each_member(&mut r, |key, r| {
+        match key {
+            "round" if round.is_none() => round = Some(r.scalar()?),
+            "tags" if tags.is_missing() => tags = read_list(r, read_tag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    r.finish()?;
+    let tags = tags.need("tags", "an array")?;
+    Ok((need_usize(&round, "round")?, tags))
 }
 
 /// Encodes a [`DeploymentReport`] as the `JobResult` payload.
@@ -481,13 +784,6 @@ pub fn encode_report(r: &DeploymentReport) -> Vec<u8> {
 // ---------------------------------------------------------------------
 // Server observability: Stats and Health.
 
-fn need_object<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [(String, JsonValue)], WireError> {
-    match need(v, key)? {
-        JsonValue::Object(members) => Ok(members),
-        _ => Err(WireError::new(format!("`{key}` must be an object"))),
-    }
-}
-
 fn write_u64_map(w: &mut JsonWriter, entries: &[(String, u64)]) {
     w.begin_object();
     for (k, v) in entries {
@@ -496,18 +792,27 @@ fn write_u64_map(w: &mut JsonWriter, entries: &[(String, u64)]) {
     w.end_object();
 }
 
-fn read_u64_map(
-    members: &[(String, JsonValue)],
-    what: &str,
-) -> Result<Vec<(String, u64)>, WireError> {
-    members
-        .iter()
-        .map(|(k, v)| {
-            v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                WireError::new(format!("`{what}.{k}` must be a non-negative integer"))
-            })
-        })
-        .collect()
+/// Reads a `name → u64` object; `what` names it in error messages.
+fn read_u64_map(r: &mut JsonReader, what: &str) -> Result<Member<Vec<(String, u64)>>, JsonError> {
+    read_map(r, |k, r| {
+        let n = r.scalar()?.as_u64();
+        Ok(n.map(|n| (k.to_string(), n))
+            .ok_or_else(|| WireError::new(format!("`{what}.{k}` must be a non-negative integer"))))
+    })
+}
+
+const LATENCY: [&str; 7] = ["count", "sum", "min", "max", "p50", "p90", "p99"];
+
+fn check_latency([count, sum, min, max, p50, p90, p99]: [Slot; 7]) -> Checked<LatencySummary> {
+    Ok(LatencySummary {
+        count: need_u64(&count, "count")?,
+        sum: need_u64(&sum, "sum")?,
+        min: need_u64(&min, "min")?,
+        max: need_u64(&max, "max")?,
+        p50: need_u64(&p50, "p50")?,
+        p90: need_u64(&p90, "p90")?,
+        p99: need_u64(&p99, "p99")?,
+    })
 }
 
 /// Encodes just the `counters` object of a [`StatsReport`] — the
@@ -548,38 +853,35 @@ pub fn encode_stats(r: &StatsReport) -> Vec<u8> {
 
 /// Decodes a `Stats` payload, rejecting unknown schemas.
 pub fn decode_stats(payload: &[u8]) -> Result<StatsReport, WireError> {
-    let v = parse_payload(payload)?;
-    let schema = need(&v, "schema")?
-        .as_str()
-        .ok_or_else(|| WireError::new("`schema` must be a string"))?;
+    let mut r = reader(payload)?;
+    let mut schema = None;
+    let (mut counters, mut gauges, mut latency) =
+        (Member::Missing, Member::Missing, Member::Missing);
+    each_member(&mut r, |key, r| {
+        match key {
+            "schema" if schema.is_none() => schema = Some(r.scalar()?),
+            "counters" if counters.is_missing() => counters = read_u64_map(r, "counters")?,
+            "gauges" if gauges.is_missing() => gauges = read_u64_map(r, "gauges")?,
+            "latency" if latency.is_missing() => {
+                latency = read_map(r, |k, r| {
+                    Ok(check_latency(read_fields(r, &LATENCY)?).map(|l| (k.into_owned(), l)))
+                })?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    r.finish()?;
+    let schema = need_str(&schema, "schema")?;
     if schema != STATS_SCHEMA {
         return Err(WireError::new(format!(
             "unknown stats schema `{schema}` (this peer speaks `{STATS_SCHEMA}`)"
         )));
     }
-    let counters = read_u64_map(need_object(&v, "counters")?, "counters")?;
-    let gauges = read_u64_map(need_object(&v, "gauges")?, "gauges")?;
-    let latency = need_object(&v, "latency")?
-        .iter()
-        .map(|(k, l)| {
-            Ok((
-                k.clone(),
-                LatencySummary {
-                    count: need_u64(l, "count")?,
-                    sum: need_u64(l, "sum")?,
-                    min: need_u64(l, "min")?,
-                    max: need_u64(l, "max")?,
-                    p50: need_u64(l, "p50")?,
-                    p90: need_u64(l, "p90")?,
-                    p99: need_u64(l, "p99")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
     Ok(StatsReport {
-        counters,
-        gauges,
-        latency,
+        counters: counters.need("counters", "an object")?,
+        gauges: gauges.need("gauges", "an object")?,
+        latency: latency.need("latency", "an object")?,
     })
 }
 
@@ -600,29 +902,48 @@ pub fn encode_health(h: &HealthInfo) -> Vec<u8> {
 
 /// Decodes a `Health` payload.
 pub fn decode_health(payload: &[u8]) -> Result<HealthInfo, WireError> {
-    let v = parse_payload(payload)?;
+    let [ok, jobs_queued, jobs_running, sessions_active, frames_rx, frames_tx] = read_payload(
+        payload,
+        &[
+            "ok",
+            "jobs_queued",
+            "jobs_running",
+            "sessions_active",
+            "frames_rx",
+            "frames_tx",
+        ],
+    )?;
     Ok(HealthInfo {
-        ok: need_bool(&v, "ok")?,
-        jobs_queued: need_u64(&v, "jobs_queued")?,
-        jobs_running: need_u64(&v, "jobs_running")?,
-        sessions_active: need_u64(&v, "sessions_active")?,
-        frames_rx: need_u64(&v, "frames_rx")?,
-        frames_tx: need_u64(&v, "frames_tx")?,
+        ok: need_bool(&ok, "ok")?,
+        jobs_queued: need_u64(&jobs_queued, "jobs_queued")?,
+        jobs_running: need_u64(&jobs_running, "jobs_running")?,
+        sessions_active: need_u64(&sessions_active, "sessions_active")?,
+        frames_rx: need_u64(&frames_rx, "frames_rx")?,
+        frames_tx: need_u64(&frames_tx, "frames_tx")?,
     })
 }
 
 /// Decodes a `JobResult` payload.
 pub fn decode_report(payload: &[u8]) -> Result<DeploymentReport, WireError> {
-    let v = parse_payload(payload)?;
-    let tags = need_array(&v, "tags")?
-        .iter()
-        .map(read_tag)
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut r = reader(payload)?;
+    let mut tags = Member::Missing;
+    let (mut aggregate_bps, mut fairness, mut total_time_s) = (None, None, None);
+    each_member(&mut r, |key, r| {
+        match key {
+            "tags" if tags.is_missing() => tags = read_list(r, read_tag)?,
+            "aggregate_bps" if aggregate_bps.is_none() => aggregate_bps = Some(r.scalar()?),
+            "fairness" if fairness.is_none() => fairness = Some(r.scalar()?),
+            "total_time_s" if total_time_s.is_none() => total_time_s = Some(r.scalar()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    r.finish()?;
     Ok(DeploymentReport {
-        tags,
-        aggregate_bps: need_f64(&v, "aggregate_bps")?,
-        fairness: need_f64(&v, "fairness")?,
-        total_time_s: need_f64(&v, "total_time_s")?,
+        tags: tags.need("tags", "an array")?,
+        aggregate_bps: need_f64(&aggregate_bps, "aggregate_bps")?,
+        fairness: need_f64(&fairness, "fairness")?,
+        total_time_s: need_f64(&total_time_s, "total_time_s")?,
     })
 }
 

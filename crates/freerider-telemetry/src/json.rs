@@ -3,9 +3,10 @@
 //! The workspace builds with no external dependencies, so machine-readable
 //! output is produced by this ~100-line streaming writer instead of serde.
 //! It emits RFC 8259 JSON: keys and strings are escaped, `u64`/`i64` print
-//! exactly, and `f64` uses Rust's shortest round-trip formatting (non-finite
-//! values become `null`). Output is fully deterministic — the writer adds
-//! no whitespace, so equal inputs give byte-equal documents.
+//! exactly (by a digit loop, not `fmt`), and `f64` uses Rust's shortest
+//! round-trip formatting (non-finite values become `null`). Output is
+//! fully deterministic — the writer adds no whitespace, so equal inputs
+//! give byte-equal documents.
 
 use std::fmt::Write as _;
 
@@ -89,8 +90,7 @@ impl JsonWriter {
     /// Writes an unsigned integer value.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.pre();
-        // lint: allow(panic) — write! to a String cannot fail
-        write!(self.buf, "{v}").expect("write to String");
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -128,8 +128,33 @@ impl JsonWriter {
     }
 }
 
+/// Appends the decimal digits of `v`: the bytes `write!(buf, "{v}")`
+/// produces, without the `fmt` machinery.
+fn push_u64(buf: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
 /// Appends `s` as a quoted, escaped JSON string.
 pub fn escape_into(buf: &mut String, s: &str) {
+    // Fast path: nothing to escape (every byte that needs it is ASCII,
+    // so a byte scan is exact), so the string is copied whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        buf.reserve(s.len() + 2);
+        buf.push('"');
+        buf.push_str(s);
+        buf.push('"');
+        return;
+    }
     buf.push('"');
     for c in s.chars() {
         match c {

@@ -3,20 +3,38 @@
 //! The workspace's machine-readable output is produced by the streaming
 //! [`crate::JsonWriter`]; this module is its inverse, so services (the
 //! `freerider-serve` wire protocol) can *consume* those documents with the
-//! same zero-dependency discipline. It parses RFC 8259 JSON into a
-//! [`JsonValue`] tree; objects keep insertion order (a `Vec` of pairs, not
-//! a hash map — iteration order must be deterministic).
+//! same zero-dependency discipline. It has two front ends over one
+//! grammar:
+//!
+//! - [`JsonReader`], a pull reader. The caller walks objects with
+//!   [`JsonReader::begin_object`] / [`JsonReader::next_key`], arrays with
+//!   [`JsonReader::begin_array`] / [`JsonReader::next_item`], and reads
+//!   every other value with [`JsonReader::scalar`], which also validates
+//!   and skips containers the caller does not want. Keys and strings
+//!   without escapes are borrowed from the input, so reading the writer's
+//!   output allocates nothing. The `freerider-serve` wire decoders use it.
+//! - [`JsonValue::parse`], which builds a [`JsonValue`] tree by driving the
+//!   same reader. Objects keep insertion order (a `Vec` of pairs, not a
+//!   hash map — iteration order must be deterministic). No production
+//!   decoder builds a tree; it is kept as the reference oracle that tests
+//!   compare the reader-based decoders against.
+//!
+//! Both front ends share every grammar routine (whitespace, strings,
+//! numbers, literals, container stepping), the [`MAX_DEPTH`] cap and the
+//! [`JsonError`] messages, so on any input they stop at the same byte with
+//! the same error.
 //!
 //! Numbers are held as `f64`, which round-trips every value the writer
 //! emits (`u64`s above 2^53 would lose precision, but the workspace never
 //! writes counters that large into wire payloads; [`JsonValue::as_u64`]
 //! rejects non-integral values rather than truncating).
 //!
-//! Container nesting is capped at [`MAX_DEPTH`] levels: the parser is
-//! recursive-descent (one stack frame per level) and its inputs are
-//! network-supplied frame payloads, so unbounded `[[[[…` input would
-//! otherwise overflow the parsing thread's stack.
+//! Container nesting is capped at [`MAX_DEPTH`] levels: both front ends
+//! recurse once per level and their inputs are network-supplied frame
+//! payloads, so unbounded `[[[[…` input would otherwise overflow the
+//! parsing thread's stack.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum object/array nesting depth; deeper input is a [`JsonError`],
@@ -58,21 +76,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The integer rule shared by [`JsonValue::as_u64`] and
+/// [`Scalar::as_u64`]: non-negative, integral, at most 2^53.
+fn f64_as_u64(n: f64) -> Option<u64> {
+    if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
+        Some(n as u64)
+    } else {
+        None
+    }
+}
+
 impl JsonValue {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            src: s,
-            bytes: s.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut r = JsonReader::new(s);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -94,12 +113,7 @@ impl JsonValue {
 
     /// The value as an unsigned integer; rejects negatives and fractions.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(f64_as_u64)
     }
 
     /// The value as a string slice.
@@ -132,6 +146,242 @@ impl JsonValue {
     }
 }
 
+/// One value read by [`JsonReader::scalar`]. Containers are validated
+/// and skipped, so only their kind is reported.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string, borrowed from the input unless it contained escapes.
+    Str(Cow<'a, str>),
+    /// An array (skipped).
+    Array,
+    /// An object (skipped).
+    Object,
+}
+
+impl Scalar<'_> {
+    /// The value as a float (numbers only).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer, by [`JsonValue::as_u64`]'s rule.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(f64_as_u64)
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// True for `null` (distinct from a missing member).
+    pub fn is_null(&self) -> bool {
+        matches!(self, Scalar::Null)
+    }
+}
+
+/// A zero-allocation pull reader over one JSON document.
+///
+/// Read a value with exactly one of [`begin_object`](Self::begin_object)
+/// (then [`next_key`](Self::next_key) until `None`, reading each member's
+/// value in between), [`begin_array`](Self::begin_array) (then
+/// [`next_item`](Self::next_item) until `false`) or
+/// [`scalar`](Self::scalar). `begin_*` return `false` and consume nothing
+/// when the next value is something else, so the caller can fall back to
+/// `scalar`. [`finish`](Self::finish) rejects trailing input. Errors are
+/// exactly those [`JsonValue::parse`] reports for the same input.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    p: Parser<'a>,
+    /// Set when a container was just opened: its first member follows
+    /// without a `,`.
+    fresh: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader positioned at the document's first value.
+    pub fn new(src: &'a str) -> Self {
+        let mut p = Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        JsonReader { p, fresh: false }
+    }
+
+    /// Opens the next value if it is an object (`Ok(true)`); otherwise
+    /// consumes nothing and returns `Ok(false)`.
+    pub fn begin_object(&mut self) -> Result<bool, JsonError> {
+        if self.p.peek() != Some(b'{') {
+            return Ok(false);
+        }
+        self.start()?;
+        Ok(true)
+    }
+
+    /// Opens the next value if it is an array (`Ok(true)`); otherwise
+    /// consumes nothing and returns `Ok(false)`.
+    pub fn begin_array(&mut self) -> Result<bool, JsonError> {
+        if self.p.peek() != Some(b'[') {
+            return Ok(false);
+        }
+        self.start()?;
+        Ok(true)
+    }
+
+    /// The next key of the innermost open object, positioned at its
+    /// value, or `None` after consuming the closing `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.step(b'}', "expected `,` or `}` in object")? {
+            return Ok(None);
+        }
+        let key = self.p.string()?;
+        self.p.skip_ws();
+        self.p.consume(b':')?;
+        self.p.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Positions at the next item of the innermost open array (`true`),
+    /// or consumes the closing `]` (`false`).
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.step(b']', "expected `,` or `]` in array")
+    }
+
+    /// Reads the next value. A container is validated to its end and
+    /// reported as [`Scalar::Array`] / [`Scalar::Object`].
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        let v = self.start()?;
+        match v {
+            Scalar::Object => {
+                while self.next_key()?.is_some() {
+                    self.scalar()?;
+                }
+            }
+            Scalar::Array => {
+                while self.next_item()? {
+                    self.scalar()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(v)
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.p.skip_ws();
+        if self.p.pos != self.p.bytes.len() {
+            return Err(self.p.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    /// Reads a leaf value, or opens a container and reports its kind.
+    fn start(&mut self) -> Result<Scalar<'a>, JsonError> {
+        let p = &mut self.p;
+        Ok(match p.peek() {
+            Some(c @ (b'{' | b'[')) => {
+                if p.depth >= MAX_DEPTH {
+                    return Err(p.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                p.depth += 1;
+                p.pos += 1;
+                self.fresh = true;
+                if c == b'{' {
+                    Scalar::Object
+                } else {
+                    Scalar::Array
+                }
+            }
+            Some(b'"') => Scalar::Str(p.string()?),
+            Some(b't') => {
+                p.literal("true")?;
+                Scalar::Bool(true)
+            }
+            Some(b'f') => {
+                p.literal("false")?;
+                Scalar::Bool(false)
+            }
+            Some(b'n') => {
+                p.literal("null")?;
+                Scalar::Null
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => Scalar::Num(p.number()?),
+            Some(c) => return Err(p.err(format!("unexpected byte 0x{c:02x}"))),
+            None => return Err(p.err("unexpected end of input")),
+        })
+    }
+
+    /// Moves to the next member of the innermost open container: past
+    /// the `,` (none before the first), or past `close`, returning
+    /// `false`.
+    fn step(&mut self, close: u8, msg: &str) -> Result<bool, JsonError> {
+        let first = std::mem::replace(&mut self.fresh, false);
+        self.p.skip_ws();
+        match self.p.peek() {
+            Some(c) if c == close => {
+                self.p.pos += 1;
+                self.p.depth = self.p.depth.saturating_sub(1);
+                return Ok(false);
+            }
+            Some(b',') if !first => self.p.pos += 1,
+            _ if first => {}
+            _ => return Err(self.p.err(msg)),
+        }
+        self.p.skip_ws();
+        Ok(true)
+    }
+
+    /// The tree front end: one [`JsonValue`] built from the same steps.
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.start()? {
+            Scalar::Null => JsonValue::Null,
+            Scalar::Bool(b) => JsonValue::Bool(b),
+            Scalar::Num(n) => JsonValue::Num(n),
+            Scalar::Str(s) => JsonValue::Str(s.into_owned()),
+            Scalar::Object => {
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    members.push((key.into_owned(), value));
+                }
+                JsonValue::Object(members)
+            }
+            Scalar::Array => {
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                JsonValue::Array(items)
+            }
+        })
+    }
+}
+
+#[derive(Debug)]
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -166,109 +416,60 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(c @ (b'{' | b'[')) => {
-                if self.depth >= MAX_DEPTH {
-                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let v = if c == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
+    /// Advances to the next quote, backslash or control byte (or the end).
+    /// All three are ASCII, so the run ends on a char boundary of the
+    /// `&str` input. Eight bytes are tested at a time (SWAR): a byte `b`
+    /// of the word is flagged when `b ^ '"'`, `b ^ '\\'` or `b` itself is
+    /// below the threshold, by the "has a byte below n" bit trick. A
+    /// borrow can flag bytes *after* a true match, never before, so the
+    /// lowest flag is exact.
+    fn run(&mut self) {
+        const LOW: u64 = 0x0101_0101_0101_0101;
+        const HIGH: u64 = 0x8080_8080_8080_8080;
+        let below = |x: u64, n: u64| x.wrapping_sub(LOW * n) & !x & HIGH;
+        while let Some(chunk) = self.bytes.get(self.pos..self.pos + 8) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            let x = u64::from_le_bytes(word);
+            let hits = below(x ^ (LOW * b'"' as u64), 1)
+                | below(x ^ (LOW * b'\\' as u64), 1)
+                | below(x, 0x20);
+            if hits != 0 {
+                self.pos += hits.trailing_zeros() as usize / 8;
+                return;
             }
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected byte 0x{c:02x}"))),
-            None => Err(self.err("unexpected end of input")),
+            self.pos += 8;
         }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.consume(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+        while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.consume(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.consume(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.consume(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.src[start..self.pos]);
         loop {
-            // Copy everything up to the next quote, backslash or control
-            // byte in one go. All three are ASCII, so the run ends on a
-            // char boundary of the `&str` input.
-            let start = self.pos;
-            self.pos += self.bytes[start..]
-                .iter()
-                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-                .unwrap_or(self.bytes.len() - start);
-            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -310,11 +511,18 @@ impl<'a> Parser<'a> {
                             }
                             // hex4 leaves pos past the digits; skip the
                             // shared `pos += 1` below.
+                            let start = self.pos;
+                            self.run();
+                            out.push_str(&self.src[start..self.pos]);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
+                    // Copy the run up to the next special byte in one go.
+                    let start = self.pos;
+                    self.run();
+                    out.push_str(&self.src[start..self.pos]);
                 }
                 Some(_) => return Err(self.err("control byte in string")),
             }
@@ -336,7 +544,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -360,10 +568,36 @@ impl<'a> Parser<'a> {
             }
         }
         let text = &self.src[start..self.pos];
+        if let Some(x) = small_integer(text) {
+            return Ok(x);
+        }
         text.parse::<f64>()
-            .map(JsonValue::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
     }
+}
+
+/// The digits-only fast path of [`Parser::number`]: an optional `-` and
+/// 1–15 ASCII digits. Every such integer is below 10^15 < 2^53, so it is
+/// exact as an `f64` and equal to `text.parse::<f64>()` bit for bit
+/// (`-0` included). Anything else — a fraction, an exponent, 16 or more
+/// digits — returns `None` and takes the `str::parse` path.
+fn small_integer(text: &str) -> Option<f64> {
+    let (neg, digits) = match text.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        all => (false, all),
+    };
+    if digits.is_empty() || digits.len() > 15 {
+        return None;
+    }
+    let mut n: u64 = 0;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + u64::from(d - b'0');
+    }
+    let x = n as f64;
+    Some(if neg { -x } else { x })
 }
 
 #[cfg(test)]
@@ -468,6 +702,68 @@ mod tests {
         assert_eq!(JsonValue::parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(JsonValue::parse("7.5").unwrap().as_u64(), None);
         assert_eq!(JsonValue::parse("-7").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn reader_walks_and_skips_without_allocating_keys() {
+        let doc = r#" {"a": [1, {"deep": [true]}], "s": "x\ny", "k": null, "n": -2.5} "#;
+        let mut r = JsonReader::new(doc);
+        assert!(!r.begin_array().unwrap());
+        assert!(r.begin_object().unwrap());
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("a")));
+        assert_eq!(r.scalar().unwrap(), Scalar::Array);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("s"));
+        assert_eq!(r.scalar().unwrap().as_str(), Some("x\ny"));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));
+        assert!(r.scalar().unwrap().is_null());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(r.scalar().unwrap().as_f64(), Some(-2.5));
+        assert_eq!(r.next_key().unwrap(), None);
+        assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn reader_and_tree_fail_alike() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            r#"{"a"}"#,
+            r#"{"a":1,}"#,
+            "[1,]",
+            "[,1]",
+            "{]",
+            "1 2",
+            r#"{"a":1 "b":2}"#,
+            "[1 2]",
+            "nul",
+            "-",
+        ] {
+            let tree = JsonValue::parse(bad).unwrap_err();
+            let mut r = JsonReader::new(bad);
+            let pulled = r.scalar().and_then(|_| r.finish()).unwrap_err();
+            assert_eq!(pulled, tree, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn integers_of_16_or_more_digits_take_the_parse_path() {
+        assert_eq!(small_integer("123456789012345"), Some(123456789012345.0));
+        assert_eq!(
+            small_integer("-0").map(f64::to_bits),
+            Some((-0f64).to_bits())
+        );
+        for slow in [
+            "1234567890123456",
+            "12345678901234567",
+            "1.5",
+            "1e3",
+            "-",
+            "",
+        ] {
+            assert_eq!(small_integer(slow), None, "{slow}");
+        }
     }
 
     #[test]

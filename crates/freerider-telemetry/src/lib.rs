@@ -11,9 +11,11 @@
 //! - **Event log** — leveled stderr logging gated by `FREERIDER_LOG`
 //!   ([`event!`]).
 //! - **JSON** — a hand-rolled RFC 8259 writer ([`JsonWriter`]) used by
-//!   `repro --json` for machine-readable results, and its inverse, a
-//!   zero-dependency parser ([`JsonValue`]) used by the `freerider-serve`
-//!   wire protocol to consume those documents.
+//!   `repro --json` for machine-readable results, and its inverse: a
+//!   zero-allocation pull reader ([`jsonv::JsonReader`]) that the
+//!   `freerider-serve` wire decoders use to consume those documents, and
+//!   a tree parser ([`JsonValue`]) over the same grammar, kept as their
+//!   test oracle.
 //! - **Flight recorder** — per-packet trace scopes gated by
 //!   `FREERIDER_TRACE` ([`trace`]), with a deterministic failure-forensics
 //!   dump and a Chrome `trace_event` exporter ([`chrome`]).

@@ -45,6 +45,7 @@ use crate::hist::LogHistogram;
 use crate::json::JsonWriter;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -54,6 +55,9 @@ pub const PROFILE_ENV: &str = "FREERIDER_PROFILE";
 
 /// Path under which work recorded outside any open scope is filed.
 pub const UNSCOPED: &str = "(unscoped)";
+
+/// Telemetry counter of guards dropped out of order (see [`ScopeGuard`]).
+pub const MISNESTED: &str = "profile.misnested";
 
 /// Schema tag of the full attribution report ([`report_json`]).
 pub const PROFILE_SCHEMA: &str = "freerider-profile/1";
@@ -184,6 +188,9 @@ thread_local! {
 struct Frame {
     path: String,
     start: Instant,
+    /// Recorded already: its guard was dropped while a scope opened
+    /// after it was still open. Popped once it reaches the top.
+    closed: bool,
 }
 
 fn with_stat<F: FnOnce(&mut StageStat)>(path: &str, f: F) {
@@ -207,10 +214,20 @@ fn current_path<F: FnOnce(&str)>(f: F) {
 }
 
 /// An RAII stage scope; dropping it records the invocation.
+///
+/// Guards must drop in reverse order of opening, on the thread that
+/// opened them (a guard is not `Send`). A guard dropped while a scope
+/// opened after it is still open is counted as `profile.misnested`: its
+/// own duration is recorded under its own path, and its frame stays on
+/// the stack as a closed placeholder, so the later scope still records
+/// under its own path and no other scope is popped in its place.
 #[must_use = "a profile scope measures until it is dropped"]
 #[derive(Debug)]
 pub struct ScopeGuard {
-    armed: bool,
+    /// Index of this scope's frame on the thread's stack; `None` when
+    /// the profiler was off at open.
+    depth: Option<usize>,
+    _not_send: PhantomData<*const ()>,
 }
 
 /// Opens stage `name` under the innermost open scope (a root when none
@@ -218,35 +235,57 @@ pub struct ScopeGuard {
 /// per-work-item code — never around executor dispatch — so the tree
 /// shape is identical for any worker count.
 pub fn scope(name: &'static str) -> ScopeGuard {
-    if !enabled() {
-        return ScopeGuard { armed: false };
+    let depth = if enabled() {
+        STACK
+            .try_with(|stack| {
+                let mut stack = stack.borrow_mut();
+                let path = match stack.last() {
+                    Some(parent) => format!("{}/{name}", parent.path),
+                    None => name.to_string(),
+                };
+                stack.push(Frame {
+                    path,
+                    start: Instant::now(),
+                    closed: false,
+                });
+                stack.len() - 1
+            })
+            .ok()
+    } else {
+        None
+    };
+    ScopeGuard {
+        depth,
+        _not_send: PhantomData,
     }
-    let armed = STACK
-        .try_with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{}/{name}", parent.path),
-                None => name.to_string(),
-            };
-            stack.push(Frame {
-                path,
-                start: Instant::now(),
-            });
-            true
-        })
-        .unwrap_or(false);
-    ScopeGuard { armed }
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if !self.armed {
+        let Some(depth) = self.depth else { return };
+        let closed = STACK.try_with(|stack| {
+            let mut stack = stack.borrow_mut();
+            if stack.len() == depth + 1 {
+                // On top: pop it, then any placeholders it uncovers.
+                let frame = stack.pop()?;
+                while stack.last().is_some_and(|f| f.closed) {
+                    stack.pop();
+                }
+                Some((frame.path, frame.start, false))
+            } else {
+                let frame = stack.get_mut(depth)?;
+                frame.closed = true;
+                Some((frame.path.clone(), frame.start, true))
+            }
+        });
+        let Ok(Some((path, start, misnested))) = closed else {
             return;
+        };
+        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if misnested {
+            crate::count(MISNESTED);
         }
-        let frame = STACK.try_with(|stack| stack.borrow_mut().pop());
-        let Ok(Some(frame)) = frame else { return };
-        let ns = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        with_stat(&frame.path, |stat| {
+        with_stat(&path, |stat| {
             stat.count += 1;
             stat.total_ns = stat.total_ns.saturating_add(ns);
             stat.hist.record(ns);
