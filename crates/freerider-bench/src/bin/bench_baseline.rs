@@ -48,6 +48,11 @@ use std::time::{Duration, Instant};
 #[path = "../../../../tests/wire_oracle/mod.rs"]
 mod wire_oracle;
 
+/// The eager/serial narrowband receivers, kept as the test oracle of the
+/// production ones; compiled in here for the `zigbee/rx_110B_eager` row.
+#[path = "../../../../tests/rx_oracle/mod.rs"]
+mod rx_oracle;
+
 fn git_short_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -241,6 +246,73 @@ fn wire_rows(budget: Duration, max_iters: u32, kernels: &mut Vec<KernelResult>) 
             bytes,
         });
     }
+}
+
+/// The narrowband receiver rows, at the payload sizes of Figs. 12 and 13:
+/// one frame zero-padded on both sides, as the link's padded channel
+/// delivers it, with light noise over the whole buffer. `zigbee/rx_110B_eager` is the same buffer through the
+/// eager oracle receiver of `tests/rx_oracle/`, timed interleaved with
+/// `zigbee/rx_110B` as an A/B pair in this binary.
+fn narrowband_rows(budget: Duration, max_iters: u32, kernels: &mut Vec<KernelResult>) {
+    use freerider_dsp::noise::NoiseSource;
+
+    let frame = |wave: Vec<Complex>, pad: usize| {
+        let mut buf = vec![Complex::ZERO; pad];
+        buf.extend(wave);
+        buf.extend(vec![Complex::ZERO; pad]);
+        NoiseSource::new(14, 0.01).add_to(&mut buf);
+        buf
+    };
+    let payload = vec![0x5Au8; 110];
+    let zb = frame(
+        freerider_zigbee::Transmitter::new()
+            .transmit(&payload)
+            .unwrap(),
+        150,
+    );
+    let zb_cfg = freerider_zigbee::RxConfig {
+        sensitivity_dbm: -200.0,
+        ..freerider_zigbee::RxConfig::default()
+    };
+    let zb_rx = freerider_zigbee::Receiver::new(zb_cfg);
+    let sync_ref = rx_oracle::zigbee::sync_ref();
+    let names = ["zigbee/rx_110B", "zigbee/rx_110B_eager"];
+    let (lazy, eager) = interleaved(
+        names,
+        budget,
+        max_iters,
+        || zb_rx.receive(&zb).unwrap().fcs_valid,
+        || {
+            rx_oracle::zigbee::receive(&zb_cfg, &sync_ref, &zb)
+                .unwrap()
+                .fcs_valid
+        },
+    );
+    for (name, summary) in names.into_iter().zip([lazy, eager]) {
+        kernels.push(KernelResult {
+            name,
+            summary,
+            bytes: 110,
+        });
+    }
+
+    let ble = frame(
+        freerider_ble::Transmitter::new()
+            .transmit(&payload[..37])
+            .unwrap(),
+        200,
+    );
+    let ble_rx = freerider_ble::Receiver::new(freerider_ble::RxConfig {
+        sensitivity_dbm: -200.0,
+        ..freerider_ble::RxConfig::default()
+    });
+    kernels.push(KernelResult {
+        name: "ble/rx_37B",
+        summary: bench("ble/rx_37B", budget, max_iters, || {
+            ble_rx.receive(&ble).unwrap().crc_valid
+        }),
+        bytes: 37,
+    });
 }
 
 /// The serve-path metrics-hook A/A pair: two identical fan-out-1
@@ -547,6 +619,8 @@ fn main() -> ExitCode {
         }),
         bytes: 1000,
     });
+
+    narrowband_rows(budget, max_iters, &mut kernels);
 
     // Serve fan-out: one tiny streaming job through the in-process
     // loopback service, drained by 1 / 4 / 16 subscribers. Measures the

@@ -9,6 +9,7 @@ use crate::gfsk::{channel_filter, discriminate};
 use crate::packet::{BlePacket, PacketError};
 use crate::{ADVERTISING_AA, DEFAULT_CHANNEL, SAMPLES_PER_BIT};
 use freerider_coding::whitening::Whitener;
+use freerider_dsp::fir::Fir;
 use freerider_dsp::{bits, db, Complex};
 use freerider_telemetry as telemetry;
 use freerider_telemetry::{profile, trace};
@@ -85,6 +86,9 @@ pub struct Receiver {
     config: RxConfig,
     /// ±1 template of preamble + access address at one value per bit.
     sync_template: Vec<f64>,
+    /// The channel-select filter, designed once; `None` when the
+    /// configuration turns the filter off.
+    filter: Option<Fir>,
 }
 
 impl Receiver {
@@ -99,6 +103,7 @@ impl Receiver {
         Receiver {
             config,
             sync_template,
+            filter: config.channel_filter.then(channel_filter),
         }
     }
 
@@ -115,14 +120,19 @@ impl Receiver {
         let _prof = profile::scope("ble.rx");
         profile::items(samples.len() as u64);
         let prof_sync = profile::scope("sync");
+        let prof_filter = profile::scope("filter");
         let filtered;
-        let input: &[Complex] = if self.config.channel_filter {
-            filtered = channel_filter().filter(samples);
-            &filtered
-        } else {
-            samples
+        let input: &[Complex] = match &self.filter {
+            Some(fir) => {
+                filtered = fir.filter(samples);
+                &filtered
+            }
+            None => samples,
         };
+        drop(prof_filter);
+        let prof_discriminate = profile::scope("discriminate");
         let freq = discriminate(input);
+        drop(prof_discriminate);
 
         // Slide the 40-bit sync template over the frequency track at each
         // sample offset, sampling one value per bit.
@@ -131,25 +141,9 @@ impl Receiver {
         if freq.len() < span + 16 * SAMPLES_PER_BIT {
             return Err(RxError::NoSync);
         }
-        let t_norm: f64 = self.sync_template.iter().map(|t| t * t).sum::<f64>().sqrt();
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for off in 0..freq.len() - span {
-            let mut acc = 0.0;
-            let mut energy = 0.0;
-            for (k, &t) in self.sync_template.iter().enumerate() {
-                let f = freq[off + k * SAMPLES_PER_BIT + SAMPLES_PER_BIT / 2];
-                acc += t * f;
-                energy += f * f;
-            }
-            let score = if energy > 1e-30 {
-                acc / (t_norm * energy.sqrt())
-            } else {
-                0.0
-            };
-            if score > best.1 {
-                best = (off, score);
-            }
-        }
+        let prof_correlate = profile::scope("correlate");
+        let best = best_sync(&self.sync_template, &freq, freq.len() - span);
+        drop(prof_correlate);
         if best.1 < self.config.detection_threshold {
             telemetry::count("ble.rx.sync.misses");
             return Err(RxError::NoSync);
@@ -222,6 +216,66 @@ impl Receiver {
             start,
         })
     }
+}
+
+/// Lane-batched offsets per block of [`best_sync`].
+const SYNC_LANES: usize = 8;
+
+/// The sync search: scores the ±1 `template` against the frequency track
+/// at every sample offset in `0..n_off`, one track value per bit, and
+/// returns the best `(offset, score)`; ties go to the earliest offset.
+///
+/// [`SYNC_LANES`] offsets advance together through the template. Each
+/// lane keeps its own `acc`/`energy` sums in the serial per-offset order,
+/// and `best` is updated in ascending offset order with a strict `>`, so
+/// the result is bit-identical to scoring one offset at a time, as the
+/// offsets past the last full block are.
+// lint: hot-path
+pub fn best_sync(template: &[f64], freq: &[f64], n_off: usize) -> (usize, f64) {
+    let t_norm: f64 = template.iter().map(|t| t * t).sum::<f64>().sqrt();
+    let score = |acc: f64, energy: f64| {
+        if energy > 1e-30 {
+            acc / (t_norm * energy.sqrt())
+        } else {
+            0.0
+        }
+    };
+    let mut best = (0usize, f64::NEG_INFINITY);
+    let mut off = 0usize;
+    while off + SYNC_LANES <= n_off {
+        let mut acc = [0.0f64; SYNC_LANES];
+        let mut energy = [0.0f64; SYNC_LANES];
+        for (k, &t) in template.iter().enumerate() {
+            let at = off + k * SAMPLES_PER_BIT + SAMPLES_PER_BIT / 2;
+            let f = &freq[at..at + SYNC_LANES];
+            for l in 0..SYNC_LANES {
+                acc[l] += t * f[l];
+                energy[l] += f[l] * f[l];
+            }
+        }
+        for l in 0..SYNC_LANES {
+            let s = score(acc[l], energy[l]);
+            if s > best.1 {
+                best = (off + l, s);
+            }
+        }
+        off += SYNC_LANES;
+    }
+    while off < n_off {
+        let mut acc = 0.0;
+        let mut energy = 0.0;
+        for (k, &t) in template.iter().enumerate() {
+            let f = freq[off + k * SAMPLES_PER_BIT + SAMPLES_PER_BIT / 2];
+            acc += t * f;
+            energy += f * f;
+        }
+        let s = score(acc, energy);
+        if s > best.1 {
+            best = (off, s);
+        }
+        off += 1;
+    }
+    best
 }
 
 #[cfg(test)]

@@ -1041,7 +1041,7 @@ mod soft_tests {
                     let llrs = make_stream(case, &mut rng, n);
                     let (expect_bits, expect_metric) =
                         reference::viterbi_decode_soft_with_metric(&llrs, rate);
-                    let mut check = |got_bits: &[u8], got_metric: f64, who: &str| {
+                    let check = |got_bits: &[u8], got_metric: f64, who: &str| {
                         assert_eq!(
                             got_bits,
                             &expect_bits[..],

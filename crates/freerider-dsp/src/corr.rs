@@ -5,6 +5,7 @@
 //! and normalised-peak thresholding.
 
 use crate::complex::Complex;
+use std::ops::ControlFlow;
 
 /// Sliding cross-correlation of `signal` against `reference`.
 ///
@@ -101,22 +102,48 @@ pub fn normalized_correlation_scalar_into(
     }
 }
 
-/// Lane-batched normalised correlation: `LANES` *output positions* advance
-/// together through the reference, each lane keeping its own accumulator
-/// in the scalar kernel's exact order (per-output accumulation is a serial
-/// reduction, so batching across outputs — not across taps — is the only
-/// axis that vectorises without reassociating sums). The complex MAC is
-/// expanded into re/im SoA arithmetic that mirrors `Complex`'s `Mul`/`Add`
-/// operation-for-operation (`x·(−y)` and `a − (−c)` are exact in IEEE), so
-/// every lane width is bit-identical to the scalar kernel.
-///
-/// The running window-energy chain is order-sensitive (`+=new − old` with
-/// a clamp), so it stays a scalar serial pass feeding each lane block.
+/// Lane-batched normalised correlation into a caller-provided buffer
+/// (cleared first): [`normalized_correlation_scan`] run to the end.
 // lint: hot-path
 pub fn normalized_correlation_lanes_into<const LANES: usize>(
     signal: &[Complex],
     reference: &[Complex],
     out: &mut Vec<f64>,
+) {
+    out.clear();
+    if !reference.is_empty() && reference.len() <= signal.len() {
+        out.reserve(signal.len() - reference.len() + 1);
+    }
+    normalized_correlation_scan::<LANES>(signal, reference, |_, v| {
+        out.push(v);
+        ControlFlow::Continue(())
+    });
+}
+
+/// Lane-batched normalised correlation as an in-order scan: hands each
+/// output `(n, value)` to `visit`, index by index, and stops as soon as
+/// `visit` breaks. Every value handed out is bit-identical to output `n`
+/// of [`normalized_correlation`], because nothing an output depends on is
+/// changed by where the scan stops: the running window energy is a serial
+/// chain from output 0, and each output's accumulator is its own.
+///
+/// `LANES` *output positions* advance together through the reference,
+/// each lane keeping its own accumulator in the scalar kernel's exact
+/// order (per-output accumulation is a serial reduction, so batching
+/// across outputs — not across taps — is the only axis that vectorises
+/// without reassociating sums). The complex MAC is expanded into re/im
+/// SoA arithmetic that mirrors `Complex`'s `Mul`/`Add`
+/// operation-for-operation (`x·(−y)` and `a − (−c)` are exact in IEEE),
+/// so every lane width is bit-identical to the scalar kernel.
+///
+/// The running window-energy chain is order-sensitive (`+=new − old` with
+/// a clamp), so it stays a scalar serial pass feeding each lane block.
+/// A break inside a block discards the rest of that block's outputs.
+// lint: hot-path
+pub fn normalized_correlation_scan<const LANES: usize>(
+    signal: &[Complex],
+    reference: &[Complex],
+    mut visit: impl FnMut(usize, f64) -> ControlFlow<()>,
 ) {
     const {
         assert!(
@@ -124,15 +151,13 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
             "lane width must be a small positive count"
         )
     };
-    out.clear();
     if reference.is_empty() || reference.len() > signal.len() {
         return;
     }
     let n_out = signal.len() - reference.len() + 1;
-    out.reserve(n_out);
     let r_energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
     if r_energy <= 0.0 {
-        out.resize(n_out, 0.0);
+        let _ = (0..n_out).try_for_each(|n| visit(n, 0.0));
         return;
     }
     let m = reference.len();
@@ -168,7 +193,9 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
         for l in 0..LANES {
             let denom = (en[l] * r_energy).sqrt();
             let a = Complex::new(acc_re[l], acc_im[l]).abs();
-            out.push(if denom > 1e-30 { a / denom } else { 0.0 });
+            if visit(n + l, if denom > 1e-30 { a / denom } else { 0.0 }).is_break() {
+                return;
+            }
         }
         n += LANES;
     }
@@ -179,11 +206,14 @@ pub fn normalized_correlation_lanes_into<const LANES: usize>(
             acc += signal[n + k] * r.conj();
         }
         let denom = (win_energy * r_energy).sqrt();
-        out.push(if denom > 1e-30 {
+        let v = if denom > 1e-30 {
             acc.abs() / denom
         } else {
             0.0
-        });
+        };
+        if visit(n, v).is_break() {
+            return;
+        }
         if n + 1 < n_out {
             win_energy += signal[n + m].norm_sqr() - signal[n].norm_sqr();
             if win_energy < 0.0 {
@@ -339,7 +369,69 @@ mod tests {
                 assert!(bits_eq(&expect, &got), "{}", tag(8));
                 normalized_correlation_into(signal, reference, &mut got);
                 assert!(bits_eq(&expect, &got), "dispatch ref sig={sig_len}");
+                // Stopped at every output: the scan hands out exactly the
+                // prefix `0..=stop`, in order, with the eager values.
+                for stop in 0..expect.len() {
+                    let tag = format!("ref={} sig={sig_len} stop={stop}", reference.len());
+                    assert!(
+                        bits_eq(&expect[..=stop], &scan_until::<2>(signal, reference, stop)),
+                        "{tag}"
+                    );
+                    assert!(
+                        bits_eq(&expect[..=stop], &scan_until::<4>(signal, reference, stop)),
+                        "{tag}"
+                    );
+                    assert!(
+                        bits_eq(&expect[..=stop], &scan_until::<8>(signal, reference, stop)),
+                        "{tag}"
+                    );
+                }
             }
+        }
+    }
+
+    /// Runs the scan until it has handed out output `stop`, checking the
+    /// indices arrive in order.
+    fn scan_until<const LANES: usize>(
+        signal: &[Complex],
+        reference: &[Complex],
+        stop: usize,
+    ) -> Vec<f64> {
+        let mut got = Vec::new();
+        normalized_correlation_scan::<LANES>(signal, reference, |n, v| {
+            assert_eq!(n, got.len(), "out-of-order output");
+            got.push(v);
+            if n == stop {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        got
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_crossing() {
+        // A threshold predicate stops the scan at `first_above`'s index,
+        // at every lane width, including crossings in the scalar tail.
+        let reference = chirp(32);
+        for at in [0usize, 5, 8, 63, 64, 65, 66] {
+            let mut signal = NoiseSource::new(3, 0.3).take(at + 32 + 2);
+            for (i, &r) in reference.iter().enumerate() {
+                signal[at + i] += r;
+            }
+            let eager = normalized_correlation(&signal, &reference);
+            let expect = first_above(&eager, 0.9);
+            let mut got = None;
+            normalized_correlation_scan::<DEFAULT_CORR_LANES>(&signal, &reference, |n, v| {
+                if v >= 0.9 {
+                    got = Some(n);
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(got, expect, "crossing at {at}");
         }
     }
 

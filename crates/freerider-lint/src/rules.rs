@@ -289,7 +289,12 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/freerider-dsp/src/corr.rs",
-        &["normalized_correlation_into", "peak", "first_above"],
+        &[
+            "normalized_correlation_into",
+            "normalized_correlation_scan",
+            "peak",
+            "first_above",
+        ],
     ),
     (
         "crates/freerider-coding/src/convolutional.rs",
@@ -318,7 +323,15 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/freerider-zigbee/src/rx.rs", &["Receiver::receive"]),
-    ("crates/freerider-ble/src/rx.rs", &["Receiver::receive"]),
+    (
+        "crates/freerider-zigbee/src/oqpsk.rs",
+        &["demodulate_chips"],
+    ),
+    ("crates/freerider-zigbee/src/chips.rs", &["correlate"]),
+    (
+        "crates/freerider-ble/src/rx.rs",
+        &["Receiver::receive", "best_sync"],
+    ),
 ];
 
 /// O1: file prefixes where `Relaxed` is sanctioned — the telemetry

@@ -9,11 +9,33 @@
 
 use crate::{SAMPLES_PER_CHIP, SAMPLES_PER_SYMBOL};
 use freerider_dsp::Complex;
+use std::sync::OnceLock;
+
+/// Samples in one half-sine chip pulse (2·Tc).
+const PULSE_LEN: usize = 2 * SAMPLES_PER_CHIP;
 
 /// Half-sine pulse sample at sub-pulse position `k` of `2·SAMPLES_PER_CHIP`.
-#[inline]
 fn pulse(k: usize) -> f64 {
-    (std::f64::consts::PI * k as f64 / (2 * SAMPLES_PER_CHIP) as f64).sin()
+    (std::f64::consts::PI * k as f64 / PULSE_LEN as f64).sin()
+}
+
+/// The pulse samples `pulse(0..PULSE_LEN)` and their energy, computed
+/// once per process from the same `sin` calls, so every modulated sample
+/// and every soft chip is bit-identical to evaluating `pulse(k)` in place.
+struct PulseTable {
+    taps: [f64; PULSE_LEN],
+    energy: f64,
+}
+
+fn pulse_table() -> &'static PulseTable {
+    static TABLE: OnceLock<PulseTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let taps: [f64; PULSE_LEN] = std::array::from_fn(pulse);
+        PulseTable {
+            taps,
+            energy: taps.iter().map(|p| p * p).sum(),
+        }
+    })
 }
 
 /// Modulates a chip stream (values 0/1, even chips → I, odd chips → Q) into
@@ -28,50 +50,55 @@ pub fn modulate_chips(chips: &[u8]) -> Vec<Complex> {
         chips.len().is_multiple_of(2),
         "need an even number of chips"
     );
+    let pulse = &pulse_table().taps;
     let n_pairs = chips.len() / 2;
-    let pulse_len = 2 * SAMPLES_PER_CHIP;
-    let out_len = n_pairs * pulse_len + SAMPLES_PER_CHIP;
+    let out_len = n_pairs * PULSE_LEN + SAMPLES_PER_CHIP;
     let mut out = vec![Complex::ZERO; out_len];
     for i in 0..n_pairs {
         let ci = if chips[2 * i] == 1 { 1.0 } else { -1.0 };
         let cq = if chips[2 * i + 1] == 1 { 1.0 } else { -1.0 };
-        let i_start = i * pulse_len;
+        let i_start = i * PULSE_LEN;
         let q_start = i_start + SAMPLES_PER_CHIP; // Tc offset
-        for k in 0..pulse_len {
-            out[i_start + k].re += ci * pulse(k);
-            out[q_start + k].im += cq * pulse(k);
+        for (k, &p) in pulse.iter().enumerate() {
+            out[i_start + k].re += ci * p;
+            out[q_start + k].im += cq * p;
         }
     }
     out
 }
 
 /// Recovers soft bipolar chips from a baseband O-QPSK waveform starting at
-/// `offset` (the first I pulse's first sample), reading `n_chips` chips.
-/// Uses a per-pulse matched filter (dot product with the half-sine).
+/// `offset` (the first I pulse's first sample), filling all of `chips`.
+/// Each sample is derotated by `derot` as it is read (`z · derot`, the
+/// receiver's carrier-phase correction), then a per-pulse matched filter
+/// (dot product with the half-sine) recovers the chip.
 ///
 /// Returns `None` if the buffer is too short.
-pub fn demodulate_chips(samples: &[Complex], offset: usize, n_chips: usize) -> Option<Vec<f64>> {
-    let pulse_len = 2 * SAMPLES_PER_CHIP;
-    let energy: f64 = (0..pulse_len).map(|k| pulse(k) * pulse(k)).sum();
-    let mut chips = Vec::with_capacity(n_chips);
-    for c in 0..n_chips {
+pub fn demodulate_chips(
+    samples: &[Complex],
+    offset: usize,
+    derot: Complex,
+    chips: &mut [f64],
+) -> Option<()> {
+    let table = pulse_table();
+    for (c, chip) in chips.iter_mut().enumerate() {
         let pair = c / 2;
         let start = if c % 2 == 0 {
-            offset + pair * pulse_len
+            offset + pair * PULSE_LEN
         } else {
-            offset + pair * pulse_len + SAMPLES_PER_CHIP
+            offset + pair * PULSE_LEN + SAMPLES_PER_CHIP
         };
-        if start + pulse_len > samples.len() {
+        if start + PULSE_LEN > samples.len() {
             return None;
         }
         let mut acc = 0.0;
-        for k in 0..pulse_len {
-            let s = samples[start + k];
-            acc += pulse(k) * if c % 2 == 0 { s.re } else { s.im };
+        for (&p, &z) in table.taps.iter().zip(&samples[start..start + PULSE_LEN]) {
+            let s = z * derot;
+            acc += p * if c % 2 == 0 { s.re } else { s.im };
         }
-        chips.push(acc / energy);
+        *chip = acc / table.energy;
     }
-    Some(chips)
+    Some(())
 }
 
 /// Number of baseband samples occupied by `n` whole symbols (excluding the
@@ -89,7 +116,8 @@ mod tests {
     fn round_trip_clean() {
         let chips: Vec<u8> = (0..64).map(|i| ((i * 11) % 3 == 0) as u8).collect();
         let wave = modulate_chips(&chips);
-        let soft = demodulate_chips(&wave, 0, 64).unwrap();
+        let mut soft = [0.0; 64];
+        demodulate_chips(&wave, 0, Complex::ONE, &mut soft).unwrap();
         for (i, (&c, &s)) in chips.iter().zip(soft.iter()).enumerate() {
             let hard = u8::from(s > 0.0);
             assert_eq!(hard, c, "chip {i} soft {s}");
@@ -102,7 +130,8 @@ mod tests {
         let chips: Vec<u8> = (0..128).map(|i| (i % 2) as u8).collect();
         let mut wave = modulate_chips(&chips);
         NoiseSource::new(1, 0.05).add_to(&mut wave);
-        let soft = demodulate_chips(&wave, 0, 128).unwrap();
+        let mut soft = [0.0; 128];
+        demodulate_chips(&wave, 0, Complex::ONE, &mut soft).unwrap();
         let errors = chips
             .iter()
             .zip(soft.iter())
@@ -132,7 +161,8 @@ mod tests {
         let chips: Vec<u8> = (0..32).map(|i| ((i * 3) % 7 < 4) as u8).collect();
         let wave = modulate_chips(&chips);
         let flipped: Vec<Complex> = wave.iter().map(|&z| -z).collect();
-        let soft = demodulate_chips(&flipped, 0, 32).unwrap();
+        let mut soft = [0.0; 32];
+        demodulate_chips(&flipped, 0, Complex::ONE, &mut soft).unwrap();
         for (&c, &s) in chips.iter().zip(soft.iter()) {
             assert_eq!(u8::from(s > 0.0), c ^ 1);
         }
@@ -141,6 +171,6 @@ mod tests {
     #[test]
     fn too_short_buffer_is_none() {
         let wave = modulate_chips(&[1, 0]);
-        assert!(demodulate_chips(&wave, 0, 4).is_none());
+        assert!(demodulate_chips(&wave, 0, Complex::ONE, &mut [0.0; 4]).is_none());
     }
 }

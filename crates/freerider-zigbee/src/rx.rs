@@ -18,6 +18,7 @@ use crate::{CHIPS_PER_SYMBOL, SAMPLES_PER_SYMBOL};
 use freerider_dsp::{corr, db, Complex};
 use freerider_telemetry as telemetry;
 use freerider_telemetry::{profile, trace};
+use std::ops::ControlFlow;
 
 /// Receiver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -115,22 +116,46 @@ impl Receiver {
         let _prof = profile::scope("zigbee.rx");
         profile::items(samples.len() as u64);
         // --- Detect the preamble. ---
+        // The first normalised-correlation value at or above the threshold
+        // locks; the refine below reads it and the next three. The scan
+        // stops once it has handed those out, so the rest of the buffer is
+        // never correlated (DESIGN §11, first-crossing detection).
         let prof_detect = profile::scope("detect");
-        let c = corr::normalized_correlation(samples, &self.sync_ref);
         let thr = self.config.detection_threshold;
-        let i = match corr::first_above(&c, thr) {
+        let mut lock: Option<usize> = None;
+        let mut head = [0.0f64; 4];
+        let mut n_head = 0usize;
+        corr::normalized_correlation_scan::<{ corr::DEFAULT_CORR_LANES }>(
+            samples,
+            &self.sync_ref,
+            |n, v| {
+                match lock {
+                    None if v >= thr => lock = Some(n),
+                    None => return ControlFlow::Continue(()),
+                    Some(_) => {}
+                }
+                head[n_head] = v;
+                n_head += 1;
+                if n_head == head.len() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        let i = match lock {
             Some(i) => i,
             None => return Err(RxError::NoPreamble),
         };
         telemetry::count("zigbee.rx.preamble.locks");
         // Refine to the local peak.
-        let mut best = i;
-        for j in i..(i + 4).min(c.len()) {
-            if c[j] > c[best] {
+        let mut best = 0;
+        for j in 0..n_head {
+            if head[j] > head[best] {
                 best = j;
             }
         }
-        let start = best;
+        let start = i + best;
 
         let rssi_dbm = db::mean_power_dbm(
             &samples[start..(start + 8 * SAMPLES_PER_SYMBOL).min(samples.len())],
@@ -153,9 +178,9 @@ impl Receiver {
         }
         let phase = acc.arg();
         trace::value_f64("zigbee.rx.phase", phase);
+        // The despreader derotates each sample it reads by this phasor.
         let derot = Complex::cis(-phase);
-        // lint: allow(a1) — one per-packet derotation buffer, sized once before the symbol loop
-        let corrected: Vec<Complex> = samples[start..].iter().map(|&z| z * derot).collect();
+        let frame = &samples[start..];
         drop(prof_sync);
 
         let prof_despread = profile::scope("despread");
@@ -163,10 +188,9 @@ impl Receiver {
         // The preamble has 8 zero symbols; the correlator may have locked
         // onto any of them, so scan up to 10 symbols for the SFD pair (7, A).
         let decode_symbol = |idx: usize| -> Option<(u8, f64)> {
-            let soft = demodulate_chips(&corrected, idx * SAMPLES_PER_SYMBOL, CHIPS_PER_SYMBOL)?;
-            let mut arr = [0.0f64; 32];
-            arr.copy_from_slice(&soft);
-            Some(correlate(&arr))
+            let mut soft = [0.0f64; CHIPS_PER_SYMBOL];
+            demodulate_chips(frame, idx * SAMPLES_PER_SYMBOL, derot, &mut soft)?;
+            Some(correlate(&soft))
         };
         let sfd_syms = [SFD & 0x0F, SFD >> 4];
         let mut sfd_at = None;

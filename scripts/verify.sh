@@ -15,8 +15,8 @@ cargo test --workspace -q --offline
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --offline -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> freerider-lint --selftest (every rule trips on its embedded fixture)"
 cargo run --release --offline -p freerider-lint -- --selftest
