@@ -53,6 +53,12 @@ mod wire_oracle;
 #[path = "../../../../tests/rx_oracle/mod.rs"]
 mod rx_oracle;
 
+/// The exact per-sample WiFi DATA pack, kept as the test oracle of
+/// `rx::pack_data_symbols`; compiled in here for the
+/// `wifi/cfo_pack_1000B_exact` row.
+#[path = "../../../../tests/wifi_reference/mod.rs"]
+mod wifi_reference;
+
 fn git_short_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -246,6 +252,61 @@ fn wire_rows(budget: Duration, max_iters: u32, kernels: &mut Vec<KernelResult>) 
             bytes,
         });
     }
+}
+
+/// The WiFi DATA pack of a 1000 B packet at a 30 kHz CFO:
+/// `wifi/cfo_pack_1000B` is the receiver's per-packet rotator, and
+/// `wifi/cfo_pack_1000B_exact` the exact per-sample oracle of
+/// `tests/wifi_reference/`, timed interleaved with it as an A/B pair in
+/// this binary.
+fn cfo_pack_rows(
+    wave: &[Complex],
+    budget: Duration,
+    max_iters: u32,
+    kernels: &mut Vec<KernelResult>,
+) {
+    use freerider_wifi::{PREAMBLE_LEN, SYMBOL_LEN};
+    // LTF1 follows the 160-sample STF and the LTF's 32-sample guard; the
+    // DATA symbols follow the preamble and the SIGNAL symbol.
+    let from_ltf1 = &wave[192..];
+    let n_sym = (wave.len() - PREAMBLE_LEN - SYMBOL_LEN) / SYMBOL_LEN;
+    let cfo = 30e3 / freerider_wifi::SAMPLE_RATE;
+    let (mut fast, mut exact) = (Vec::new(), Vec::new());
+    let names = ["wifi/cfo_pack_1000B", "wifi/cfo_pack_1000B_exact"];
+    let (a, b) = interleaved(
+        names,
+        budget,
+        max_iters,
+        || {
+            freerider_wifi::rx::pack_data_symbols(from_ltf1, cfo, n_sym, &mut fast);
+            fast.len()
+        },
+        || {
+            wifi_reference::pack_data_symbols(from_ltf1, cfo, n_sym, &mut exact);
+            exact.len()
+        },
+    );
+    for (name, summary) in names.into_iter().zip([a, b]) {
+        kernels.push(KernelResult {
+            name,
+            summary,
+            bytes: 1000,
+        });
+    }
+}
+
+/// The backscatter channel of a Fig. 10 link on a 1000 B wave: the LOS
+/// hallway's 6 multipath taps, Rician fading, phase noise and thermal
+/// noise, with 200 noise-only samples on each side, as `WifiLink` calls it.
+fn propagate_back_row(wave: &[Complex], budget: Duration, max_iters: u32) -> Summary {
+    use freerider_channel::channel::{Fading, Multipath};
+    let floor = freerider_dsp::db::thermal_noise_dbm(20e6, 6.0);
+    let mut back = freerider_channel::Channel::new(-80.0, floor, Fading::Rician { k_db: 12.0 }, 7)
+        .with_multipath(Multipath::hallway_20msps())
+        .with_phase_noise(2e-4);
+    bench("channel/propagate_back_1000B", budget, max_iters, || {
+        back.propagate_padded(wave, 200)
+    })
 }
 
 /// The narrowband receiver rows, at the payload sizes of Figs. 12 and 13:
@@ -617,6 +678,13 @@ fn main() -> ExitCode {
         summary: bench("wifi/rx_1000B_warm", budget, max_iters, || {
             rx.receive_with(&wave, &mut rx_scratch).unwrap().fcs_valid
         }),
+        bytes: 1000,
+    });
+
+    cfo_pack_rows(&wave, budget, max_iters, &mut kernels);
+    kernels.push(KernelResult {
+        name: "channel/propagate_back_1000B",
+        summary: propagate_back_row(&wave, budget, max_iters),
         bytes: 1000,
     });
 

@@ -435,6 +435,72 @@ mod tests {
         }
     }
 
+    #[test]
+    fn window_energy_clamp_is_pinned() {
+        // One huge sample (energy 1e18, half an ulp 64) absorbs its unit-
+        // power neighbours' energies into the running window sum. When it
+        // leaves, the sum drops to exactly zero, and as the absorbed
+        // neighbours leave after it the `+new − old` chain subtracts energy
+        // it never added and goes negative; the clamp resets it to zero.
+        // The burst walks through every position, so the dips land in lane
+        // blocks and in the lane scan's scalar tail (7 outputs at width 8,
+        // 3 at width 4; width 2 leaves a 1-output tail that never updates).
+        let m = 8;
+        let reference = chirp(m);
+        let r_energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
+        let n_out = 8 * 5 + 7;
+        let noise = NoiseSource::new(42, 1.0).take(m + n_out - 1);
+        let mut dips = Vec::new();
+        for burst in 0..n_out {
+            let mut signal = noise.clone();
+            signal[burst] = Complex::new(1e9, 0.0);
+            // The clamped chain, step by step as the scalar kernel runs it.
+            let mut expect = Vec::new();
+            let mut energy: f64 = signal[..m].iter().map(|z| z.norm_sqr()).sum();
+            for n in 0..n_out {
+                let mut acc = Complex::ZERO;
+                for (k, &r) in reference.iter().enumerate() {
+                    acc += signal[n + k] * r.conj();
+                }
+                let denom = (energy * r_energy).sqrt();
+                expect.push(if denom > 1e-30 {
+                    acc.abs() / denom
+                } else {
+                    0.0
+                });
+                if n + 1 < n_out {
+                    energy += signal[n + m].norm_sqr() - signal[n].norm_sqr();
+                    if energy < 0.0 {
+                        dips.push(n);
+                        energy = 0.0;
+                    }
+                }
+            }
+            let mut got = Vec::new();
+            normalized_correlation_scalar_into(&signal, &reference, &mut got);
+            assert!(bits_eq(&expect, &got), "scalar, burst at {burst}");
+            normalized_correlation_lanes_into::<2>(&signal, &reference, &mut got);
+            assert!(bits_eq(&expect, &got), "lanes=2, burst at {burst}");
+            normalized_correlation_lanes_into::<4>(&signal, &reference, &mut got);
+            assert!(bits_eq(&expect, &got), "lanes=4, burst at {burst}");
+            normalized_correlation_lanes_into::<8>(&signal, &reference, &mut got);
+            assert!(bits_eq(&expect, &got), "lanes=8, burst at {burst}");
+        }
+        // The chain must really dip where each clamp sits: in the blocks
+        // and in the tails of widths 4 and 8.
+        for lanes in [4, 8] {
+            let blocks_end = n_out / lanes * lanes;
+            assert!(
+                dips.iter().any(|&n| n < blocks_end),
+                "no dip in a {lanes}-lane block"
+            );
+            assert!(
+                dips.iter().any(|&n| n >= blocks_end),
+                "no dip in the {lanes}-lane tail"
+            );
+        }
+    }
+
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }

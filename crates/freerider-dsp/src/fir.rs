@@ -106,10 +106,28 @@ impl Fir {
 
     /// Filters a complex buffer, returning a buffer of the same length
     /// ("same" convolution: output delayed by the group delay is trimmed).
+    ///
+    /// Scatters straight into the `n` kept outputs: output `m` is full
+    /// convolution output `m + d` (`d` the group delay), and receives the
+    /// same `x·t` terms in the same order as [`Fir::filter_full`] adds them,
+    /// so the result is bit-identical to slicing the full convolution.
     pub fn filter(&self, input: &[Complex]) -> Vec<Complex> {
-        let full = self.filter_full(input);
+        let n = input.len();
         let d = self.group_delay();
-        full[d..d + input.len()].to_vec()
+        let mut out = vec![Complex::ZERO; n];
+        for (i, &x) in input.iter().enumerate() {
+            if x == Complex::ZERO {
+                continue;
+            }
+            let (lo, hi) = kept_taps(i, d, n, self.taps.len());
+            for (o, &t) in out[i + lo - d..i + hi - d]
+                .iter_mut()
+                .zip(&self.taps[lo..hi])
+            {
+                *o += x * t;
+            }
+        }
+        out
     }
 
     /// Full convolution, output length `input.len() + taps.len() - 1`.
@@ -128,21 +146,25 @@ impl Fir {
         out
     }
 
-    /// Filters a real-valued buffer ("same" length).
+    /// Filters a real-valued buffer ("same" length), scattering only into
+    /// the kept outputs as [`Fir::filter`] does.
     pub fn filter_real(&self, input: &[f64]) -> Vec<f64> {
         let n = input.len();
-        let k = self.taps.len();
-        let mut full = vec![0.0; n + k - 1];
+        let d = self.group_delay();
+        let mut out = vec![0.0; n];
         for (i, &x) in input.iter().enumerate() {
             if x == 0.0 {
                 continue;
             }
-            for (j, &t) in self.taps.iter().enumerate() {
-                full[i + j] += x * t;
+            let (lo, hi) = kept_taps(i, d, n, self.taps.len());
+            for (o, &t) in out[i + lo - d..i + hi - d]
+                .iter_mut()
+                .zip(&self.taps[lo..hi])
+            {
+                *o += x * t;
             }
         }
-        let d = self.group_delay();
-        full[d..d + n].to_vec()
+        out
     }
 
     /// Filters `input` around a frequency offset: mixes the band at
@@ -158,6 +180,14 @@ impl Fir {
             .collect();
         self.filter(&mixed)
     }
+}
+
+/// The taps `lo..hi` through which input `i` reaches a kept output of a
+/// "same" convolution of length `n` with `k` taps and group delay `d < k`:
+/// full output `i + j` is kept when `d ≤ i + j < d + n`, so for `i < n`
+/// the range is never empty.
+fn kept_taps(i: usize, d: usize, n: usize, k: usize) -> (usize, usize) {
+    (d.saturating_sub(i), (d + n - i).min(k))
 }
 
 /// A single-pole RC low-pass useful for envelope-detector modelling.
@@ -277,6 +307,64 @@ mod tests {
         let mut rc = RcLowPass::new(1e-6, 50e-9);
         let y1 = rc.step(1.0);
         assert!(y1 > 0.0 && y1 < 0.1, "single step should move slowly: {y1}");
+    }
+
+    /// The full-convolution-then-copy "same" filter both `filter` forms
+    /// replaced, for real input.
+    fn filter_real_full_then_copy(f: &Fir, input: &[f64]) -> Vec<f64> {
+        let (n, k) = (input.len(), f.taps().len());
+        let mut full = vec![0.0; n + k - 1];
+        for (i, &x) in input.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (j, &t) in f.taps().iter().enumerate() {
+                full[i + j] += x * t;
+            }
+        }
+        let d = f.group_delay();
+        full[d..d + n].to_vec()
+    }
+
+    #[test]
+    fn same_filters_are_bit_identical_to_full_then_copy() {
+        // Odd (BLE's 129-tap channel filter), even and single-tap filters,
+        // at lengths around the tap count and at a BLE-packet length; every
+        // fourth sample is zero so the skipped-input path runs too.
+        let filters = [
+            Fir::low_pass(0.3, 129),
+            Fir::low_pass(0.1, 31),
+            Fir::low_pass(0.2, 4),
+            Fir::new(vec![0.7]),
+        ];
+        let noise = crate::noise::NoiseSource::new(109, 1.0).take(3408);
+        for f in &filters {
+            let k = f.taps().len();
+            let d = f.group_delay();
+            for n in [0, 1, k.saturating_sub(1), k, k + 1, 3408] {
+                let input: Vec<Complex> = noise[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &z)| if i % 4 == 3 { Complex::ZERO } else { z })
+                    .collect();
+                let want = f.filter_full(&input)[d..d + n].to_vec();
+                let got = f.filter(&input);
+                assert_eq!(got.len(), n);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits())
+                    );
+                }
+                let real: Vec<f64> = input.iter().map(|z| z.re).collect();
+                let want = filter_real_full_then_copy(f, &real);
+                let got = f.filter_real(&real);
+                assert_eq!(got.len(), n);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "k={k} n={n}");
+                }
+            }
+        }
     }
 
     #[test]

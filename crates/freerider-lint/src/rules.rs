@@ -318,7 +318,10 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "Receiver::receive_with",
             "Receiver::detect_with",
             "Receiver::decode_at_with",
+            "Receiver::decode_header",
+            "Receiver::equalize_packed_into",
             "Receiver::equalize_symbol_into",
+            "pack_data_symbols",
             "dc_ensure",
         ],
     ),

@@ -296,6 +296,80 @@ fn dc_ensure(
     }
 }
 
+/// Packs the `n_sym` CP-stripped DATA symbols of the PPDU whose first long
+/// training symbol starts at `from_ltf1[0]` into `out` (`n_sym · 64`
+/// samples, cleared first), correcting the carrier frequency offset `cfo`
+/// (cycles/sample) on the way.
+///
+/// Sample `k` of DATA symbol `n` sits at index `idx = off_n + k` past LTF1,
+/// with `off_n = 2·64 + 80·(1 + n) + 16`, and is rotated by
+/// `e^{−j2π·cfo·idx}` as `x · (A_n · T[k])`: a 64-entry table
+/// `T[k] = cis(−2π·cfo·k)` built once per packet, and one anchor
+/// `A_n = cis(−2π·cfo·off_n)` per symbol. That is `64 + n_sym` `cis` calls
+/// instead of `64·n_sym`. Sample 0 of every symbol is bit-identical to the
+/// per-sample rotation `x · cis(−2π·cfo·idx)`; the others agree with it to
+/// within the tolerance DESIGN §11 states. The anchor argument is formed
+/// exactly as the per-sample one is, so the error cannot build up across
+/// a packet the way a running recurrence's does.
+pub fn pack_data_symbols(from_ltf1: &[Complex], cfo: f64, n_sym: usize, out: &mut Vec<Complex>) {
+    let w = -2.0 * std::f64::consts::PI * cfo;
+    let (mut t_re, mut t_im) = ([0.0f64; FFT_SIZE], [0.0f64; FFT_SIZE]);
+    for k in 0..FFT_SIZE {
+        let t = Complex::cis(w * k as f64);
+        t_re[k] = t.re;
+        t_im[k] = t.im;
+    }
+    out.clear();
+    out.resize(n_sym * FFT_SIZE, Complex::ZERO);
+    // Re/im planes let both products vectorise; each expands
+    // `Complex::mul` term for term, so the result is `x * (a * t)` bit for
+    // bit.
+    let (mut r_re, mut r_im) = ([0.0f64; FFT_SIZE], [0.0f64; FFT_SIZE]);
+    for (n, dst) in out.chunks_exact_mut(FFT_SIZE).enumerate() {
+        let off = 2 * FFT_SIZE + SYMBOL_LEN * (1 + n) + CP_LEN;
+        let a = Complex::cis(w * off as f64);
+        for k in 0..FFT_SIZE {
+            r_re[k] = a.re * t_re[k] - a.im * t_im[k];
+            r_im[k] = a.re * t_im[k] + a.im * t_re[k];
+        }
+        let src = &from_ltf1[off..off + FFT_SIZE];
+        for k in 0..FFT_SIZE {
+            let x = src[k];
+            dst[k] = Complex::new(
+                x.re * r_re[k] - x.im * r_im[k],
+                x.re * r_im[k] + x.im * r_re[k],
+            );
+        }
+    }
+}
+
+/// What the preamble and SIGNAL stages hand the DATA stages.
+struct Header {
+    /// Fine CFO estimate, cycles/sample.
+    cfo: f64,
+    /// Per-bin channel estimate from the two long training symbols.
+    h: [Complex; FFT_SIZE],
+    /// Preamble-region RSSI, dBm.
+    rssi_dbm: f64,
+    /// The decoded SIGNAL field.
+    signal: Signal,
+    /// The SIGNAL symbol's raw squaring-estimator phase, where the
+    /// decision-directed tracker's differential chain starts.
+    prev_raw: f64,
+    /// Phase drift accumulated through the SIGNAL symbol.
+    cum_drift: f64,
+}
+
+/// Wraps a phase into `[−π/2, π/2]` (mod π, the BPSK symmetry).
+fn wrap_pi(x: f64) -> f64 {
+    x - std::f64::consts::PI * (x / std::f64::consts::PI).round()
+}
+
+/// Wraps a phase into `[−π/4, π/4]` (mod π/2, the QPSK symmetry).
+fn wrap_half_pi(x: f64) -> f64 {
+    x - std::f64::consts::FRAC_PI_2 * (x / std::f64::consts::FRAC_PI_2).round()
+}
+
 /// The 802.11g OFDM receiver.
 #[derive(Debug, Clone)]
 pub struct Receiver {
@@ -543,6 +617,143 @@ impl Receiver {
         let _span = telemetry::span("wifi.rx.decode");
         let _stage = trace::stage("wifi.rx.decode");
         let _prof = profile::scope("decode");
+        let header = self.decode_header(samples, ltf1, scratch)?;
+        let signal = header.signal;
+
+        // --- DATA symbols: pack → batch FFT → SoA equalise → batched demap. ---
+        let rate = signal.rate;
+        let n_sym = rate.data_symbols_for(signal.length);
+        if samples.len() - ltf1 - 2 * FFT_SIZE < SYMBOL_LEN * (1 + n_sym) {
+            telemetry::count("wifi.rx.truncated");
+            return Err(RxError::Truncated);
+        }
+        let prof_equalize = profile::scope("equalize");
+        telemetry::count_n("wifi.rx.equalize.symbols", n_sym as u64);
+        telemetry::count_n("wifi.rx.fft.symbols", n_sym as u64);
+        profile::work("equalize.subcarriers", (n_sym * N_DATA_CARRIERS) as u64);
+        let prof_pack = profile::scope("pack");
+        pack_data_symbols(&samples[ltf1..], header.cfo, n_sym, &mut scratch.sym_freq);
+        drop(prof_pack);
+        self.equalize_packed_into(&header, n_sym, scratch);
+        drop(prof_equalize);
+        let prof_viterbi = profile::scope("viterbi");
+        let (scrambled, path_metric) = viterbi_decode_soft_scratch(
+            &scratch.coded_llrs,
+            rate.code_rate(),
+            &mut scratch.viterbi,
+        );
+        trace::value_f64("wifi.rx.data.viterbi_metric", path_metric);
+        telemetry::count("wifi.rx.viterbi.decodes");
+        telemetry::count_n("wifi.rx.viterbi.bits", scrambled.len() as u64);
+        drop(prof_viterbi);
+
+        // Per-subcarrier EVM vs the nearest constellation point, averaged
+        // over all DATA symbols. Only computed while a flight-recorder
+        // packet scope is live — it is a diagnostic, not a decode input.
+        if trace::in_packet() && !scratch.packet.equalized.is_empty() {
+            let modulation = rate.modulation();
+            let mut evm = [0.0f64; N_DATA_CARRIERS];
+            for sym in &scratch.packet.equalized {
+                for (k, &z) in sym.iter().enumerate() {
+                    let ideal = crate::mapping::nearest_point(z, modulation);
+                    evm[k] += (z - ideal).norm_sqr();
+                }
+            }
+            for e in evm.iter_mut() {
+                *e = (*e / scratch.packet.equalized.len() as f64).sqrt();
+            }
+            trace::value_f64s("wifi.rx.evm", &evm);
+        }
+
+        // --- Descramble, recovering the seed from the SERVICE bits. ---
+        let prof_descramble = profile::scope("descramble");
+        let data_bits = &mut scratch.packet.data_bits;
+        data_bits.clear();
+        data_bits.extend_from_slice(scrambled);
+        if let Some(mut desc) = Scrambler::recover_seed(&data_bits[..7]) {
+            for b in data_bits[..7].iter_mut() {
+                *b = 0; // SERVICE bits descramble to 0
+            }
+            desc.scramble_in_place(&mut data_bits[7..]);
+        }
+        drop(prof_descramble);
+
+        let prof_fcs = profile::scope("fcs");
+        let psdu_bits = &scratch.packet.data_bits[16..16 + 8 * signal.length];
+        bits::bits_to_bytes_lsb_into(psdu_bits, &mut scratch.packet.psdu);
+        let fcs_valid = freerider_coding::crc::check_crc32(&scratch.packet.psdu);
+        drop(prof_fcs);
+        telemetry::count(if fcs_valid {
+            "wifi.rx.fcs.ok"
+        } else {
+            "wifi.rx.fcs.bad"
+        });
+        trace::value_str("wifi.rx.fcs", if fcs_valid { "ok" } else { "bad" });
+        telemetry::count("wifi.rx.packets");
+        profile::bits(8 * signal.length as u64);
+        telemetry::record("wifi.rx.psdu_bytes", signal.length as u64);
+        telemetry::event!(
+            Debug,
+            "wifi.rx",
+            "packet: {} B at {:?}, FCS {}",
+            signal.length,
+            rate,
+            if fcs_valid { "ok" } else { "BAD" }
+        );
+
+        let end = ltf1 + 2 * FFT_SIZE + SYMBOL_LEN * (1 + n_sym);
+        scratch.packet.signal = signal;
+        scratch.packet.fcs_valid = fcs_valid;
+        scratch.packet.rssi_dbm = header.rssi_dbm;
+        scratch.packet.cfo = header.cfo;
+        scratch.packet.start = ltf1.saturating_sub(192);
+        scratch.packet.end = end;
+        Ok(())
+    }
+
+    /// Re-runs a decoded packet's DATA equalisation on caller-packed
+    /// symbols: the preamble and SIGNAL stages are repeated on `samples`
+    /// (the buffer `packet` was received from), then `packed` — `n_sym`
+    /// CP-stripped, CFO-corrected 64-sample DATA symbols, as
+    /// [`pack_data_symbols`] lays them out — goes through the same FFT,
+    /// equalise, phase-tracking and demap stages as a receive. Fed the
+    /// production pack it returns `packet.equalized` bit for bit; fed the
+    /// exact per-sample pack it returns the exact pack's equalised points,
+    /// which is how the pack's tolerance (DESIGN §11) is tested.
+    ///
+    /// # Panics
+    /// Panics if `packed` does not hold one 64-sample block per DATA
+    /// symbol of `packet`.
+    #[doc(hidden)]
+    pub fn equalize_packed<'s>(
+        &self,
+        samples: &[Complex],
+        packet: &RxPacket,
+        packed: &[Complex],
+        scratch: &'s mut RxScratch,
+    ) -> Result<&'s [[Complex; N_DATA_CARRIERS]], RxError> {
+        let n_sym = packet.equalized.len();
+        let ltf1 = packet.end - 2 * FFT_SIZE - SYMBOL_LEN * (1 + n_sym);
+        let header = self.decode_header(samples, ltf1, scratch)?;
+        assert_eq!(
+            packed.len(),
+            n_sym * FFT_SIZE,
+            "one 64-sample block per DATA symbol"
+        );
+        scratch.sym_freq.clear();
+        scratch.sym_freq.extend_from_slice(packed);
+        self.equalize_packed_into(&header, n_sym, scratch);
+        Ok(&scratch.packet.equalized)
+    }
+
+    /// Fine CFO, channel estimate and SIGNAL field of the PPDU whose first
+    /// long training symbol starts at `ltf1`.
+    fn decode_header(
+        &self,
+        samples: &[Complex],
+        ltf1: usize,
+        scratch: &mut RxScratch,
+    ) -> Result<Header, RxError> {
         if ltf1 + 2 * FFT_SIZE + SYMBOL_LEN > samples.len() {
             telemetry::count("wifi.rx.truncated");
             return Err(RxError::Truncated);
@@ -560,12 +771,11 @@ impl Receiver {
         telemetry::record("wifi.rx.cfo.abs_ppb", (cfo.abs() * 1e9).round() as u64);
         trace::value_f64("wifi.rx.cfo", cfo);
 
-        // CFO-correct lazily: each corrected sample depends only on its own
-        // index, so correcting just the LTF + SIGNAL prefix here yields the
-        // same values as eagerly correcting the whole buffer. The DATA
-        // symbols are corrected on the fly as they are packed for the batch
-        // FFT (see the equalise stage below), which skips `Complex::cis`
-        // for cyclic prefixes and trailing samples the packet never uses.
+        // The LTF + SIGNAL prefix is CFO-corrected exactly, one `cis` per
+        // sample: the channel estimate and the SIGNAL decode see the same
+        // values as an eager whole-buffer pass. The DATA symbols are
+        // corrected as they are packed for the batch FFT
+        // ([`pack_data_symbols`]).
         scratch.corrected.clear();
         let avail = samples.len() - ltf1;
         let need_sig = (2 * FFT_SIZE + SYMBOL_LEN).min(avail);
@@ -619,9 +829,7 @@ impl Receiver {
         // (`arg Σ z² / 2` strips BPSK modulation and yields the common
         // phase mod π, averaged over all 48 data carriers), tracked
         // differentially so drift is removed while π steps pass through.
-        let mut prev_raw;
         let mut cum_drift = 0.0f64;
-        let wrap_pi = |x: f64| x - std::f64::consts::PI * (x / std::f64::consts::PI).round();
         // Per-carrier channel power gains (needed both for the squaring
         // estimator's matched weighting and for soft demapping).
         scratch.gains.clear();
@@ -643,13 +851,6 @@ impl Receiver {
                 .sum();
             acc.arg() / 2.0
         };
-        // The fourth-power analogue for QPSK (z⁴ strips QPSK modulation and
-        // any multiple-of-π/2 tag rotation, yielding phase mod π/2; QPSK
-        // points sit at odd multiples of 45°, so z⁴ lands at e^{jπ}·e^{j4δ}
-        // and negating the accumulator removes that constant π bias) runs
-        // batched across the whole DATA field — see the equalise stage.
-        let wrap_half_pi =
-            |x: f64| x - std::f64::consts::FRAC_PI_2 * (x / std::f64::consts::FRAC_PI_2).round();
 
         let mut sig_points_raw = [Complex::ZERO; N_DATA_CARRIERS];
         self.equalize_symbol_into(
@@ -659,7 +860,6 @@ impl Receiver {
             &mut sig_points_raw,
         );
         let sig_phase = squaring_phase(&sig_points_raw, &scratch.gains);
-        prev_raw = sig_phase;
         if self.config.phase_tracking != PhaseTracking::Off {
             cum_drift += wrap_pi(sig_phase);
         }
@@ -698,56 +898,39 @@ impl Receiver {
         })?;
         telemetry::count("wifi.rx.signal.ok");
         drop(prof_signal);
+        Ok(Header {
+            cfo,
+            h,
+            rssi_dbm,
+            signal,
+            prev_raw: sig_phase,
+            cum_drift,
+        })
+    }
 
-        // --- DATA symbols: batch FFT → SoA equalise → batched demap. ---
-        let rate = signal.rate;
-        let n_sym = rate.data_symbols_for(signal.length);
-        if avail - 2 * FFT_SIZE < SYMBOL_LEN * (1 + n_sym) {
-            telemetry::count("wifi.rx.truncated");
-            return Err(RxError::Truncated);
-        }
-        let prof_equalize = profile::scope("equalize");
-        let n_cbps = rate.coded_bits_per_symbol();
-        // The (N_CBPS, N_BPSC) pairs are 1:1 in 802.11g, so a matching
-        // block size means the cached permutation is the right one.
-        if scratch.il_data.block_size() != n_cbps {
-            scratch.il_data = Interleaver::new(n_cbps, rate.modulation().bits_per_subcarrier());
-        }
-        telemetry::count_n("wifi.rx.equalize.symbols", n_sym as u64);
-        telemetry::count_n("wifi.rx.fft.symbols", n_sym as u64);
-        profile::work("equalize.subcarriers", (n_sym * N_DATA_CARRIERS) as u64);
-        // Stage 1 — batch FFT: CFO-correct and pack every CP-stripped
-        // symbol window, then transform the whole DATA field in one
+    /// The DATA stages after the pack: transforms the `n_sym` packed
+    /// symbols in `scratch.sym_freq`, equalises and phase-tracks them into
+    /// `scratch.packet.equalized`, and demaps them into
+    /// `scratch.coded_llrs`.
+    fn equalize_packed_into(&self, header: &Header, n_sym: usize, scratch: &mut RxScratch) {
+        let h = &header.h;
+        let rate = header.signal.rate;
+        // Stage 1 — batch FFT: transform the whole packed DATA field in one
         // planned batch call (the same 64-point butterfly network per
-        // symbol as `fft64`). The CFO correction is folded into the pack:
-        // each corrected sample depends only on its own absolute index, so
-        // computing `x · e^{-j2πf·idx}` here yields bit-identical values
-        // to the eager whole-buffer pass — while skipping `Complex::cis`
-        // for the cyclic-prefix samples no downstream stage ever reads.
-        scratch.sym_freq.clear();
-        scratch.sym_freq.reserve(n_sym * FFT_SIZE);
-        for n in 0..n_sym {
-            let off = 2 * FFT_SIZE + SYMBOL_LEN * (1 + n) + CP_LEN;
-            scratch.sym_freq.extend(
-                samples[ltf1 + off..ltf1 + off + FFT_SIZE]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &x)| {
-                        let idx = off + k;
-                        x * Complex::cis(-2.0 * std::f64::consts::PI * cfo * idx as f64)
-                    }),
-            );
-        }
+        // symbol as `fft64`).
+        let prof_fft = profile::scope("fft");
         freerider_dsp::fft::plan64()
             .run_batch(&mut scratch.sym_freq)
             // lint: allow(panic) — the batch length is n_sym·64 by construction
             .expect("batch length is a multiple of 64");
+        drop(prof_fft);
         // Stage 2 — SoA equalise: hoist each data carrier's channel inverse
         // once and sweep it across all symbols into carrier-major re/im
         // planes. Per-point arithmetic expands `carriers.data[i] / h[bin]`
         // exactly (`Complex::div`'s numerators and shared `norm_sqr`
         // denominator), so the planes are bit-identical to the per-symbol
         // path's points.
+        let prof_planes = profile::scope("planes");
         scratch.eq_re.clear();
         scratch.eq_re.resize(n_sym * N_DATA_CARRIERS, 0.0);
         scratch.eq_im.clear();
@@ -768,6 +951,7 @@ impl Receiver {
             // else: both planes stay 0.0 — the faded-carrier zero the
             // per-symbol path emits.
         }
+        drop(prof_planes);
         // Stage 3 — serial phase tracking (the cumulative-drift chain is
         // order-sensitive) over the raw planes, derotating into the
         // packet's equalised-symbol buffer.
@@ -778,6 +962,9 @@ impl Receiver {
         // accumulates every symbol's `Σ z²g²` (or `Σ z⁴g⁴`) with the same
         // carrier-ordered additions the per-symbol closures perform,
         // leaving only the order-sensitive wrap/cumulate chain serial.
+        let prof_track = profile::scope("track");
+        let mut prev_raw = header.prev_raw;
+        let mut cum_drift = header.cum_drift;
         let tracking = self.config.phase_tracking;
         let batch_est = tracking == PhaseTracking::DecisionDirected
             && matches!(rate.modulation(), Modulation::Bpsk | Modulation::Qpsk);
@@ -819,6 +1006,11 @@ impl Receiver {
             scratch.raw_phase.clear();
             scratch.raw_phase.reserve(n_sym);
             if quartic {
+                // The fourth-power analogue of the squaring estimator: z⁴
+                // strips QPSK modulation and any multiple-of-π/2 tag
+                // rotation, yielding phase mod π/2; QPSK points sit at odd
+                // multiples of 45°, so z⁴ lands at e^{jπ}·e^{j4δ} and
+                // negating the accumulator removes that constant π bias.
                 scratch.raw_phase.extend(
                     scratch
                         .est_re
@@ -901,9 +1093,17 @@ impl Receiver {
             }
             scratch.packet.equalized.push(arr);
         }
+        drop(prof_track);
         // Stage 4 — batched demap with the deinterleave scatter fused in:
         // each LLR is written straight to its deinterleaved slot, skipping
         // the interleaved-plane round trip (placement-only, bit-identical).
+        let _prof_demap = profile::scope("demap");
+        let n_cbps = rate.coded_bits_per_symbol();
+        // The (N_CBPS, N_BPSC) pairs are 1:1 in 802.11g, so a matching
+        // block size means the cached permutation is the right one.
+        if scratch.il_data.block_size() != n_cbps {
+            scratch.il_data = Interleaver::new(n_cbps, rate.modulation().bits_per_subcarrier());
+        }
         profile::work("demap.symbols", n_sym as u64);
         soft_demap_deinterleave_batch_into(
             &scratch.packet.equalized,
@@ -914,80 +1114,6 @@ impl Receiver {
         );
         telemetry::count_n("wifi.rx.demap.symbols", n_sym as u64);
         telemetry::count_n("wifi.rx.deinterleave.symbols", n_sym as u64);
-        drop(prof_equalize);
-        let prof_viterbi = profile::scope("viterbi");
-        let (scrambled, path_metric) = viterbi_decode_soft_scratch(
-            &scratch.coded_llrs,
-            rate.code_rate(),
-            &mut scratch.viterbi,
-        );
-        trace::value_f64("wifi.rx.data.viterbi_metric", path_metric);
-        telemetry::count("wifi.rx.viterbi.decodes");
-        telemetry::count_n("wifi.rx.viterbi.bits", scrambled.len() as u64);
-        drop(prof_viterbi);
-
-        // Per-subcarrier EVM vs the nearest constellation point, averaged
-        // over all DATA symbols. Only computed while a flight-recorder
-        // packet scope is live — it is a diagnostic, not a decode input.
-        if trace::in_packet() && !scratch.packet.equalized.is_empty() {
-            let modulation = rate.modulation();
-            let mut evm = [0.0f64; N_DATA_CARRIERS];
-            for sym in &scratch.packet.equalized {
-                for (k, &z) in sym.iter().enumerate() {
-                    let ideal = crate::mapping::nearest_point(z, modulation);
-                    evm[k] += (z - ideal).norm_sqr();
-                }
-            }
-            for e in evm.iter_mut() {
-                *e = (*e / scratch.packet.equalized.len() as f64).sqrt();
-            }
-            trace::value_f64s("wifi.rx.evm", &evm);
-        }
-
-        // --- Descramble, recovering the seed from the SERVICE bits. ---
-        let prof_descramble = profile::scope("descramble");
-        let data_bits = &mut scratch.packet.data_bits;
-        data_bits.clear();
-        data_bits.extend_from_slice(scrambled);
-        if let Some(mut desc) = Scrambler::recover_seed(&data_bits[..7]) {
-            for b in data_bits[..7].iter_mut() {
-                *b = 0; // SERVICE bits descramble to 0
-            }
-            desc.scramble_in_place(&mut data_bits[7..]);
-        }
-        drop(prof_descramble);
-
-        let prof_fcs = profile::scope("fcs");
-        let psdu_bits = &scratch.packet.data_bits[16..16 + 8 * signal.length];
-        bits::bits_to_bytes_lsb_into(psdu_bits, &mut scratch.packet.psdu);
-        let fcs_valid = freerider_coding::crc::check_crc32(&scratch.packet.psdu);
-        drop(prof_fcs);
-        telemetry::count(if fcs_valid {
-            "wifi.rx.fcs.ok"
-        } else {
-            "wifi.rx.fcs.bad"
-        });
-        trace::value_str("wifi.rx.fcs", if fcs_valid { "ok" } else { "bad" });
-        telemetry::count("wifi.rx.packets");
-        profile::bits(8 * signal.length as u64);
-        telemetry::record("wifi.rx.psdu_bytes", signal.length as u64);
-        telemetry::event!(
-            Debug,
-            "wifi.rx",
-            "packet: {} B at {:?}, FCS {}",
-            signal.length,
-            rate,
-            if fcs_valid { "ok" } else { "BAD" }
-        );
-
-        let end = ltf1 + 2 * FFT_SIZE + SYMBOL_LEN * (1 + n_sym);
-        scratch.packet.signal = signal;
-        scratch.packet.fcs_valid = fcs_valid;
-        scratch.packet.rssi_dbm = rssi_dbm;
-        scratch.packet.cfo = cfo;
-        scratch.packet.start = ltf1.saturating_sub(192);
-        scratch.packet.end = end;
-        Ok(())
     }
 
     /// Equalises one 80-sample symbol into `points`; returns the raw
